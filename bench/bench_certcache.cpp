@@ -12,12 +12,12 @@
 //  * LB acq           — same shape, acquire reads (promises still needed);
 //  * LB 3-thread ring — LB scaled to a three-thread promise ring: more
 //                       certifications per state and a bigger state graph;
-//  * LB @ 4 jobs      — the parallel engine sharing one cache across
-//                       workers (striped-lock contention included).
+//  * LB @ 4 jobs      — four workers sharing one cache (striped-lock
+//                       contention included).
 //
-// Every run asserts the BehaviorSet is identical to the cache-off
-// sequential baseline, and reports the cache hit rate of its last
-// iteration via the certcache.* statistics.
+// Every run asserts the BehaviorSet is identical to the cache-off jobs=1
+// baseline, and reports the cache hit rate of its last iteration via the
+// certcache.* statistics.
 //
 //===----------------------------------------------------------------------===//
 
@@ -54,8 +54,7 @@ void runExplore(benchmark::State &State, const Program &P, StepConfig SC,
                 unsigned Jobs) {
   StepConfig Off = SC;
   Off.EnableCertCache = false;
-  ExploreConfig Seq;
-  BehaviorSet Base = exploreInterleaving(P, Off, Seq);
+  BehaviorSet Base = exploreInterleaving(P, Off);
 
   SC.EnableCertCache = State.range(0) != 0;
   ExploreConfig EC;

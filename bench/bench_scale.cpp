@@ -71,8 +71,7 @@ ScaleWorkloadConfig wideConfig() {
 }
 
 /// Mostly private *stores* instead of read-only filler: memory-mutating
-/// steps only the analysis-guided fusion can collapse. The legacy
-/// reduction (--reduce=legacy ablation) must schedule every one.
+/// steps only the analysis-guided exclusive-write fusion can collapse.
 ScaleWorkloadConfig privateStoreConfig() {
   ScaleWorkloadConfig C;
   C.Seed = 19;
@@ -85,14 +84,13 @@ ScaleWorkloadConfig privateStoreConfig() {
 }
 
 void runScale(benchmark::State &State, const ScaleWorkloadConfig &WC,
-              bool Reduce, bool AnalysisFusion = true) {
+              bool Reduce) {
   Program P = generateScaleWorkload(WC);
 
   StepConfig SC;
   SC.EnablePromises = false; // certification would dwarf the scheduling cost
   ExploreConfig EC;
   EC.Reduce = Reduce;
-  EC.AnalysisFusion = AnalysisFusion;
   EC.Jobs = static_cast<unsigned>(State.range(0));
   if (!Reduce)
     EC.MaxNodes = UnreducedCap;
@@ -165,21 +163,12 @@ BENCHMARK(BM_ScaleWideUnreduced)->Arg(1)->Arg(8)
     ->UseRealTime()->MeasureProcessCPUTime()
     ->Unit(benchmark::kMillisecond);
 
-// The analysis-fusion ablation (--reduce=on vs --reduce=legacy vs off) on
-// the private-store workload: the reduced/legacy gap is what the static
-// footprint facts buy on memory-mutating thread-local code.
+// Reduced vs unreduced on the private-store workload: the gap is what
+// exclusive-write fusion buys on memory-mutating thread-local code.
 void BM_ScalePrivateReduced(benchmark::State &State) {
   runScale(State, privateStoreConfig(), /*Reduce=*/true);
 }
 BENCHMARK(BM_ScalePrivateReduced)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
-    ->UseRealTime()->MeasureProcessCPUTime()
-    ->Unit(benchmark::kMillisecond);
-
-void BM_ScalePrivateLegacy(benchmark::State &State) {
-  runScale(State, privateStoreConfig(), /*Reduce=*/true,
-           /*AnalysisFusion=*/false);
-}
-BENCHMARK(BM_ScalePrivateLegacy)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
     ->UseRealTime()->MeasureProcessCPUTime()
     ->Unit(benchmark::kMillisecond);
 

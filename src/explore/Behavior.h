@@ -82,8 +82,8 @@ struct BehaviorSet {
   /// True if any abort was observed.
   bool anyAbort() const { return !Abort.empty(); }
 
-  /// Full structural equality, statistics included. The parallel explorer
-  /// is required to be bit-identical to the sequential one under this
+  /// Full structural equality, statistics included. Exploration at any
+  /// worker count is required to be bit-identical to jobs=1 under this
   /// comparison whenever no bound trips (ParallelEquivalenceTest).
   bool operator==(const BehaviorSet &O) const {
     return Exhausted == O.Exhausted && NodesVisited == O.NodesVisited &&

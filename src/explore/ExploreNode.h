@@ -5,8 +5,8 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The (canonical state, output trace) node shared by the sequential and
-/// parallel explorers. Traces are part of the node identity because
+/// The (canonical state, output trace) node of the explorer's search graph
+/// (explore/Explorer.h). Traces are part of the node identity because
 /// behaviors are path-dependent: the same machine state reached after
 /// different prints contributes different prefixes.
 ///
@@ -39,15 +39,6 @@ struct ExploreNodeHash {
     return hashFinalize(Seed);
   }
 };
-
-class Statistic;
-
-namespace detail {
-/// The explore.nodes / explore.transitions counters, shared between the
-/// sequential and parallel engines (defined in Explorer.cpp).
-Statistic &numExploreNodes();
-Statistic &numExploreTransitions();
-} // namespace detail
 
 } // namespace psopt
 

@@ -7,14 +7,14 @@
 #include "explore/Explorer.h"
 #include "explore/Canonical.h"
 #include "explore/ExploreNode.h"
-#include "explore/ParallelExplorer.h"
+#include "explore/ParallelBfs.h"
 #include "explore/Reduction.h"
 #include "nps/NPMachine.h"
 #include "support/Statistic.h"
 #include "support/Timer.h"
 #include "support/Trace.h"
 
-#include <deque>
+#include <atomic>
 #include <optional>
 #include <unordered_set>
 
@@ -26,104 +26,203 @@ static Statistic NumExploreTransitions("explore", "transitions",
 static PhaseTimer ExploreSearchTime("explore", "search",
                                     "wall-clock time inside explore()");
 
-namespace detail {
-Statistic &numExploreNodes() { return NumExploreNodes; }
-Statistic &numExploreTransitions() { return NumExploreTransitions; }
-} // namespace detail
+namespace {
 
-using Node = ExploreNode;
-using NodeHash = ExploreNodeHash;
+/// Worker-private partial result; merged into the final BehaviorSet after
+/// the pool joins. Padded out to a cache line so neighboring workers'
+/// counters don't false-share.
+struct alignas(64) PartialBehavior {
+  std::set<Trace> Done;
+  std::set<Trace> Abort;
+  std::set<Trace> Blocked;
+  std::set<Trace> Prefixes;
+  std::uint64_t Transitions = 0;
+  std::vector<MachineSuccessor> SuccBuf; // reused across expansions
+  ReducerScratch Scratch;                // reduction-layer buffers
+};
 
-static BehaviorSet exploreSequential(const Machine &M, const ExploreConfig &C) {
-  BehaviorSet B;
+} // namespace
 
-  std::optional<Reducer> Red;
-  if (C.Reduce && M.supportsReduction())
-    Red.emplace(M, C.AnalysisFusion);
-  ReducerScratch Scr;
+/// Expands one explore node: classifies it (done/blocked), enumerates its
+/// (possibly reduced) successors, records trace bookkeeping into \p Sink
+/// and feeds new children to \p Push. \p Red is null for unreduced
+/// exploration, which pushes children as they are built. \p OutBoundHit is
+/// set (never cleared) when the MaxOuts trace bound cuts a successor.
+template <typename PushT>
+static void expandExploreNode(const Machine &M, const Reducer *Red,
+                              const ExploreNode &Cur, const ExploreConfig &C,
+                              PartialBehavior &Sink, PushT &&Push,
+                              bool &OutBoundHit) {
+  Sink.Prefixes.insert(Cur.Outs);
 
-  Node Start{*M.initial(), {}};
-  if (Red)
-    Red->project(Start.State);
-  canonicalizeState(Start.State);
-
-  std::unordered_set<Node, NodeHash> Visited;
-  std::deque<Node> Work;
-  Work.push_back(std::move(Start));
-
-  // The sequential engine is "one worker": its loop gets the same span
-  // shape the pool workers emit, so traces read uniformly at any -j.
-  TraceSpan WorkerSpan("explore", "worker");
-  std::uint64_t Popped = 0;
-
-  std::vector<MachineSuccessor> Succs;
-  while (!Work.empty()) {
-    // Publish live frontier/visited levels for the --progress heartbeat
-    // at a coarse cadence (two relaxed stores every 1024 nodes).
-    if ((++Popped & 1023) == 0) {
-      searchFrontierGauge().set(Work.size());
-      searchVisitedGauge().set(Visited.size());
-    }
-    Node N = std::move(Work.front());
-    Work.pop_front();
-    // One hash lookup: insert claims the node; a duplicate is skipped
-    // without a second probe.
-    auto [It, IsNew] = Visited.insert(std::move(N));
-    if (!IsNew)
-      continue;
-    // Node bound: exactly MaxNodes nodes are ever expanded and
-    // NodesVisited never exceeds the bound, so the (MaxNodes+1)-th unique
-    // node is withdrawn again.
-    if (Visited.size() > C.MaxNodes) {
-      B.Exhausted = false;
-      Visited.erase(It);
-      break;
-    }
-    const Node &Cur = *It;
-    ++NumExploreNodes;
-
-    bool OutBoundHit = false;
-    expandExploreNode(
-        M, Red ? &*Red : nullptr, Cur, C, Succs, Scr, B,
-        [&Work](Node &&Child) { Work.push_back(std::move(Child)); },
-        OutBoundHit);
-    if (OutBoundHit)
-      B.Exhausted = false;
+  if (Cur.State.allTerminated()) {
+    Sink.Done.insert(Cur.Outs);
+    return;
   }
 
-  searchFrontierGauge().set(0);
-  searchVisitedGauge().set(Visited.size());
-  WorkerSpan.arg("worker", 0u)
-      .arg("popped", Popped)
-      .arg("expanded", static_cast<std::uint64_t>(Visited.size()));
+  std::vector<MachineSuccessor> &Succs = Sink.SuccBuf;
+  bool Fused = false;
+  if (Red) {
+    Succs.clear();
+    Succs.resize(1);
+    Fused = Red->selectFused(Cur.State, Sink.Scratch, Succs[0]);
+  }
+  if (!Fused)
+    M.successors(Cur.State, Succs);
+  if (Succs.empty()) {
+    // Never a reduction artifact: a fused successor always exists when
+    // selection succeeds, so emptiness means the full relation is empty.
+    Sink.Blocked.insert(Cur.Outs);
+    return;
+  }
 
-  B.NodesVisited = Visited.size();
-  // UniqueStates folds out of the visited table after the search (state
-  // hashes are memoized, so this pass is cheap) instead of costing a
-  // second hash-set probe on every node expansion.
-  std::unordered_set<std::size_t> StateHashes;
-  StateHashes.reserve(Visited.size());
-  for (const Node &N : Visited)
-    StateHashes.insert(N.State.hash());
-  B.UniqueStates = StateHashes.size();
-  return B;
+  if (!Red) {
+    // Unreduced expansion: children go straight to the queue.
+    for (MachineSuccessor &S : Succs) {
+      ++NumExploreTransitions;
+      ++Sink.Transitions;
+      switch (S.Ev.K) {
+      case MachineEvent::Kind::Abort:
+        Sink.Abort.insert(Cur.Outs);
+        break;
+      case MachineEvent::Kind::Out: {
+        if (Cur.Outs.size() >= C.MaxOuts) {
+          OutBoundHit = true;
+          continue;
+        }
+        ExploreNode Child{std::move(S.State), Cur.Outs};
+        Child.Outs.push_back(S.Ev.OutVal);
+        canonicalizeState(Child.State);
+        Push(std::move(Child));
+        break;
+      }
+      case MachineEvent::Kind::Tau: {
+        ExploreNode Child{std::move(S.State), Cur.Outs};
+        canonicalizeState(Child.State);
+        Push(std::move(Child));
+        break;
+      }
+      }
+    }
+    return;
+  }
+
+  // Reduced expansion: buffer canonicalized children and drop siblings
+  // that collapse onto an already-admitted (state, trace) node.
+  ReducerScratch &Scr = Sink.Scratch;
+  Scr.Children.clear();
+  Scr.ChildHashes.clear();
+  for (MachineSuccessor &S : Succs) {
+    ++NumExploreTransitions;
+    ++Sink.Transitions;
+    switch (S.Ev.K) {
+    case MachineEvent::Kind::Abort:
+      Sink.Abort.insert(Cur.Outs);
+      continue;
+    case MachineEvent::Kind::Out:
+      if (Cur.Outs.size() >= C.MaxOuts) {
+        OutBoundHit = true;
+        continue;
+      }
+      break;
+    case MachineEvent::Kind::Tau:
+      break;
+    }
+    ExploreNode Child{std::move(S.State), Cur.Outs};
+    if (S.Ev.K == MachineEvent::Kind::Out)
+      Child.Outs.push_back(S.Ev.OutVal);
+    Red->project(Child.State);
+    canonicalizeState(Child.State);
+    std::size_t H = ExploreNodeHash{}(Child);
+    bool Duplicate = false;
+    for (std::size_t I = 0; I < Scr.Children.size(); ++I) {
+      if (Scr.ChildHashes[I] == H && Scr.Children[I] == Child) {
+        Duplicate = true;
+        break;
+      }
+    }
+    if (Duplicate) {
+      ++detail::numReductionEquivHits();
+      continue;
+    }
+    Scr.ChildHashes.push_back(H);
+    Scr.Children.push_back(std::move(Child));
+  }
+  for (ExploreNode &Child : Scr.Children)
+    Push(std::move(Child));
+  Scr.Children.clear();
+  Scr.ChildHashes.clear();
 }
 
 BehaviorSet explore(const Machine &M, const ExploreConfig &C) {
+  BehaviorSet B;
   if (!M.initial()) {
     // A thread entry is missing: the only behavior is immediate abort.
-    BehaviorSet B;
     B.Abort.insert(Trace{});
     B.Prefixes.insert(Trace{});
     return B;
   }
   PhaseTimerScope Time(ExploreSearchTime);
   TraceSpan Span("explore", "search");
-  Span.arg("jobs", C.Jobs)
-      .arg("reduce", C.Reduce)
-      .arg("analysis_fusion", C.AnalysisFusion);
-  BehaviorSet B = C.Jobs > 1 ? ParallelExplorer(M, C).run()
-                             : exploreSequential(M, C);
+  Span.arg("jobs", C.Jobs).arg("reduce", C.Reduce);
+
+  // One shared, immutable reduction context; workers bring their own
+  // scratch. Ample-set selection is a pure function of the state, so the
+  // reduced graph is schedule-independent and identical at every -j.
+  std::optional<Reducer> Red;
+  if (C.Reduce && M.supportsReduction())
+    Red.emplace(M);
+
+  ExploreNode Start{*M.initial(), {}};
+  if (Red)
+    Red->project(Start.State);
+  canonicalizeState(Start.State);
+
+  // At one worker the pool runs on the calling thread and spawns nothing.
+  ParallelBfs<ExploreNode, ExploreNodeHash> Engine(C.Jobs, C.MaxNodes);
+  std::vector<PartialBehavior> Partials(Engine.jobs());
+  std::atomic<bool> OutBoundHit{false};
+
+  auto Visit = [&](unsigned W, const ExploreNode &N, auto &&Push) {
+    ++NumExploreNodes;
+    bool OutHit = false;
+    expandExploreNode(M, Red ? &*Red : nullptr, N, C, Partials[W], Push,
+                      OutHit);
+    if (OutHit)
+      OutBoundHit.store(true, std::memory_order_relaxed);
+  };
+
+  auto Stats = Engine.run(std::move(Start), Visit);
+
+  // Deterministic merge: set unions are insertion-order independent and
+  // the counters are sums over the exactly-once visited nodes. The first
+  // partial is adopted whole, so one worker copies no traces.
+  auto Merge = [](std::set<Trace> &Into, std::set<Trace> &From) {
+    if (Into.empty())
+      Into.swap(From);
+    else
+      Into.insert(From.begin(), From.end());
+  };
+  for (PartialBehavior &L : Partials) {
+    Merge(B.Done, L.Done);
+    Merge(B.Abort, L.Abort);
+    Merge(B.Blocked, L.Blocked);
+    Merge(B.Prefixes, L.Prefixes);
+    B.Transitions += L.Transitions;
+  }
+  B.Exhausted =
+      !Stats.NodeBoundHit && !OutBoundHit.load(std::memory_order_relaxed);
+  B.NodesVisited = Stats.Expanded;
+  // UniqueStates folds out of the joined visited table (hashes are
+  // memoized) instead of paying a locked sharded-set probe per node
+  // during the search.
+  std::unordered_set<std::size_t> StateHashes;
+  StateHashes.reserve(Stats.Expanded);
+  Engine.forEachVisited([&StateHashes](const ExploreNode &N) {
+    StateHashes.insert(N.State.hash());
+  });
+  B.UniqueStates = StateHashes.size();
+
   Span.arg("nodes", B.NodesVisited)
       .arg("unique_states", B.UniqueStates)
       .arg("transitions", B.Transitions)

@@ -19,9 +19,13 @@
 /// Exploration is embarrassingly order-independent: because the visited
 /// set deduplicates exactly and BehaviorSet stores ordered sets, any
 /// schedule of node expansions that covers the reachable graph yields the
-/// same BehaviorSet. ExploreConfig::Jobs > 1 exploits this by expanding
-/// the frontier with a worker pool (see ParallelExplorer.h); Jobs == 1
-/// keeps the classic single-threaded BFS byte-for-byte unchanged.
+/// same BehaviorSet. The one search engine, a ParallelBfs worker pool
+/// (explore/ParallelBfs.h), exploits this: each worker accumulates a
+/// private partial BehaviorSet and the partials are merged once the pool
+/// joins. With ExploreConfig::Jobs == 1 the pool runs on the calling
+/// thread and spawns nothing. When a bound trips, Exhausted is false at
+/// every worker count and the sets are (possibly different) under-
+/// approximations; NodesVisited is still exactly MaxNodes. See DESIGN.md §7.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -38,31 +42,24 @@ struct ExploreConfig {
   std::uint64_t MaxNodes = 2'000'000; ///< (state, trace) pairs expanded
   unsigned MaxOuts = 32;              ///< outputs per trace
 
-  /// Worker threads expanding the frontier. 1 selects the sequential
-  /// engine; K > 1 selects the parallel engine, which produces an
-  /// identical BehaviorSet (asserted across the litmus registry and
-  /// random programs in tests/explore/ParallelEquivalenceTest.cpp).
+  /// Worker threads expanding the frontier; 1 runs the search on the
+  /// calling thread. Every worker count produces an identical BehaviorSet
+  /// (asserted across the litmus registry and random programs in
+  /// tests/explore/ParallelEquivalenceTest.cpp).
   unsigned Jobs = 1;
 
   /// Equivalence-class schedule reduction (explore/Reduction.h): fuse
-  /// deterministic thread-local chains into single steps, collapse
+  /// deterministic thread-local chains — guided by static footprint facts
+  /// (analysis/Footprint.h, DESIGN.md §13) — into single steps, collapse
   /// terminated threads' unreadable state, and drop observationally
   /// equal sibling successors. Behavior-preserving — the trace sets and
   /// Exhausted agree with unreduced exploration (BehaviorSet::
   /// sameBehaviors, swept in tests/explore/ReductionEquivalenceTest.cpp)
   /// — but NodesVisited/UniqueStates/Transitions shrink. Applies only to
   /// machines that opt in (Machine::supportsReduction; the interleaving
-  /// machine); engines at the same setting remain bit-identical.
+  /// machine); every worker count at the same setting stays bit-identical.
+  /// CLI: --reduce=on|off.
   bool Reduce = true;
-
-  /// Feed static footprint facts (analysis/Footprint.h) to the reducer:
-  /// chains additionally fuse through stores/CASes to locations no peer
-  /// reads or writes, through fences, and through view-moving exclusive
-  /// reads. Behavior-preserving for the same reason the base reduction is
-  /// (DESIGN.md §13); off reproduces the pre-analysis reduced graph
-  /// byte-for-byte. CLI: --reduce=on|off|legacy (legacy = Reduce without
-  /// AnalysisFusion). Ignored when Reduce is false.
-  bool AnalysisFusion = true;
 };
 
 /// Explores \p M exhaustively (within \p C) and returns its behaviors.

@@ -5,17 +5,18 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A reusable parallel graph-search engine: a worker pool expands nodes
-/// from per-worker deques with stealing, deduplicating through a sharded,
-/// striped-lock visited table. Both the parallel explorer (nodes are
-/// (state, trace) pairs) and the parallel race checker (nodes are bare
-/// machine states) instantiate it.
+/// The one state-space search engine: a worker pool expands nodes from
+/// per-worker deques with stealing, deduplicating through a sharded,
+/// striped-lock visited table. Both the explorer (nodes are (state, trace)
+/// pairs) and the race checker (nodes are bare machine states) instantiate
+/// it. With one worker the search runs on the calling thread, spawns
+/// nothing, and keeps a single unsharded visited table.
 ///
 /// Guarantees:
 ///  * each unique node (under HashT/operator==) is visited exactly once;
 ///  * at most MaxNodes nodes are ever visited — the (MaxNodes+1)-th
 ///    insertion attempt trips the bound, after which workers drain their
-///    queues without expanding (mirroring the sequential engines' break);
+///    queues without expanding;
 ///  * the visit count is deterministic: min(|reachable graph|, MaxNodes).
 ///
 /// Shard selection uses the *high* bits of the node hash; unordered_set
@@ -50,8 +51,12 @@ Statistic &numBfsIdleWaits();
 } // namespace detail
 
 /// Number of visited-table shards for a given worker count: enough stripes
-/// that workers rarely collide, bounded so empty shards stay cheap.
+/// that workers rarely collide, bounded so empty shards stay cheap. One
+/// worker never collides, so it gets one table (many small tables that
+/// each grow separately slow small searches down).
 inline unsigned parallelBfsShardCount(unsigned Jobs) {
+  if (Jobs <= 1)
+    return 1;
   unsigned Want = Jobs * 4;
   unsigned Shards = 16;
   while (Shards < Want && Shards < 256)
@@ -70,10 +75,8 @@ public:
   ParallelBfs(unsigned Jobs, std::uint64_t MaxNodes)
       : Jobs(Jobs < 1 ? 1 : Jobs), MaxNodes(MaxNodes),
         Shards(parallelBfsShardCount(this->Jobs)), Queues(this->Jobs) {
-    unsigned Bits = 0;
     for (unsigned N = 1; N < Shards.size(); N *= 2)
-      ++Bits;
-    ShardShift = 8 * sizeof(std::size_t) - Bits;
+      ++ShardBits;
   }
 
   unsigned jobs() const { return Jobs; }
@@ -225,8 +228,12 @@ private:
   void expand(unsigned W, NodeT &&N, VisitT &Visit, PushT &Push) {
     if (Stop.load(std::memory_order_relaxed))
       return; // draining after a bound trip or stop(): don't expand
-    std::size_t H = HashT{}(N);
-    VisitedShard &S = Shards[H >> ShardShift];
+    // A single shard is taken without hashing; shifting by the full hash
+    // width would be undefined anyway.
+    VisitedShard &S =
+        ShardBits
+            ? Shards[HashT{}(N) >> (8 * sizeof(std::size_t) - ShardBits)]
+            : Shards[0];
     const NodeT *Ref;
     {
       std::lock_guard<std::mutex> Lock(S.M);
@@ -250,7 +257,7 @@ private:
 
   const unsigned Jobs;
   const std::uint64_t MaxNodes;
-  unsigned ShardShift = 0;
+  unsigned ShardBits = 0; ///< log2 of the shard count
   std::vector<VisitedShard> Shards;
   std::vector<WorkQueue> Queues;
   std::atomic<std::uint64_t> Pending{0};

@@ -28,8 +28,7 @@ Statistic &numReductionSleepSkips() { return NumSleepSkips; }
 Statistic &numReductionEquivHits() { return NumEquivHits; }
 } // namespace detail
 
-Reducer::Reducer(const Machine &M, bool AnalysisFusion)
-    : M(&M), UseAnalysis(AnalysisFusion) {
+Reducer::Reducer(const Machine &M) : M(&M) {
   const Program &P = M.program();
   const std::vector<FuncId> &Threads = P.threads();
   std::vector<std::set<VarId>> Footprints(Threads.size());
@@ -44,11 +43,9 @@ Reducer::Reducer(const Machine &M, bool AnalysisFusion)
     if (M.config().EnablePromises)
       Facts[T].OwnPromisable = computePromiseDomain(P, Threads[T]).Vars;
   }
-  if (UseAnalysis) {
-    FootprintAnalysis FA(P);
-    for (std::size_t T = 0; T < Threads.size(); ++T)
-      Facts[T].OthersRead = FA.peersRead(static_cast<Tid>(T));
-  }
+  FootprintAnalysis FA(P);
+  for (std::size_t T = 0; T < Threads.size(); ++T)
+    Facts[T].OthersRead = FA.peersRead(static_cast<Tid>(T));
 }
 
 bool Reducer::exclusiveRead(Tid T, VarId X) const {
@@ -63,8 +60,6 @@ bool Reducer::exclusiveRead(Tid T, VarId X) const {
 }
 
 bool Reducer::exclusiveWrite(Tid T, VarId X) const {
-  if (!UseAnalysis)
-    return false;
   // A peer reservation on X (reserve steps range over all of storage)
   // would perturb T's placement enumeration; stay out when they exist.
   if (M->config().EnableReservations)
@@ -80,8 +75,6 @@ bool Reducer::exclusiveWrite(Tid T, VarId X) const {
 }
 
 bool Reducer::fusibleFence(Tid T, FenceMode FM) const {
-  if (!UseAnalysis)
-    return false;
   // fence.acq only publishes the banked Acq view into V — thread-local.
   if (!fenceHasRel(FM))
     return true;
@@ -130,12 +123,10 @@ bool Reducer::selectFused(const MachineState &S, ReducerScratch &Scr,
         // Skip/assign/terminator: touches neither memory nor the view.
         ThreadLocal = true;
       } else if (Step.Ev.K == ThreadEvent::Kind::Read &&
-                 exclusiveRead(T, Step.Ev.Var) &&
-                 (UseAnalysis || Step.TS.V == Cur.V)) {
+                 exclusiveRead(T, Step.Ev.Var)) {
         // A read of a location no peer can write: the readable set is
         // schedule-independent, so a unique read now is the same unique
-        // read under any peer order. Legacy mode additionally requires
-        // the view not to move (the pre-analysis conservative rule).
+        // read under any peer order, whether or not it moves the view.
         ThreadLocal = true;
       } else if ((Step.Ev.K == ThreadEvent::Kind::Write ||
                   Step.Ev.K == ThreadEvent::Kind::Update) &&

@@ -8,20 +8,21 @@
 /// The explorer's reduction layer (ExploreConfig::Reduce, default on): an
 /// ample-set scheduler that collapses commuting interleavings to a single
 /// representative order, plus an observational-equivalence filter over
-/// successor states. Both engines (sequential and parallel) expand nodes
-/// through the shared expandExploreNode below, so the reduced graph — and
-/// with it every BehaviorSet counter — is identical across engines by
-/// construction. Soundness argument in DESIGN.md §10; the reduced == un-
-/// reduced behavior sweep lives in tests/explore/ReductionEquivalenceTest.
+/// successor states. Selection is a pure function of the state, so the
+/// reduced graph — and with it every BehaviorSet counter — is identical at
+/// every worker count. Soundness argument in DESIGN.md §10 and §13; the
+/// reduced == unreduced behavior sweep lives in
+/// tests/explore/ReductionEquivalenceTest.
 ///
 /// Three cooperating mechanisms:
 ///
 ///  1. Fused thread-local chains (the ample set). At a state where some
 ///     promise-free thread T's next step is its *unique*, non-aborting,
-///     thread-local successor (a tau — skip/assign/control — or a read of
-///     a location no other thread can write), only T is scheduled, and T's
-///     whole maximal deterministic chain of such steps is fused into one
-///     machine step. Selection is a pure function of the state (never of
+///     thread-local successor (a tau — skip/assign/control —, a read of a
+///     location no other thread can write, or, by the static footprint
+///     facts of DESIGN.md §13, a store/CAS to a location no peer touches
+///     or a fusible fence), only T is scheduled, and T's whole maximal
+///     deterministic chain of such steps is fused into one machine step. Selection is a pure function of the state (never of
 ///     the visited set), so the reduction composes with parallel search.
 ///     A chain that revisits a local state (a register-pure spin) is
 ///     rejected — that thread can idle forever, so other threads' steps
@@ -46,9 +47,7 @@
 #ifndef PSOPT_EXPLORE_REDUCTION_H
 #define PSOPT_EXPLORE_REDUCTION_H
 
-#include "explore/Canonical.h"
 #include "explore/ExploreNode.h"
-#include "explore/Explorer.h"
 #include "ps/Machine.h"
 #include "support/Statistic.h"
 
@@ -81,17 +80,14 @@ struct ReducerScratch {
 /// and pass their own ReducerScratch.
 class Reducer {
 public:
-  /// \p AnalysisFusion additionally admits stores/CASes to statically
-  /// unshared locations (threading memory through the chain), fences, and
-  /// view-moving exclusive reads into fused chains, using footprint facts
-  /// from analysis/Footprint.h. False reproduces the pre-analysis reduced
-  /// graph byte-for-byte (CLI: --reduce=legacy).
-  explicit Reducer(const Machine &M, bool AnalysisFusion = true);
+  /// Gathers the per-thread facts: write footprints, promise domains, and
+  /// the static peer-read footprints of analysis/Footprint.h.
+  explicit Reducer(const Machine &M);
 
   /// Ample-set selection: if some thread is fusible at \p S, writes the
   /// fused macro-successor (the whole thread-local chain collapsed into a
   /// single tau-labeled machine step) to \p Out and returns true. Pure in
-  /// \p S: both engines make the same choice at the same state.
+  /// \p S: every worker makes the same choice at the same state.
   bool selectFused(const MachineState &S, ReducerScratch &Scr,
                    MachineSuccessor &Out) const;
 
@@ -110,10 +106,9 @@ private:
     /// read by this thread can race with. A load outside this set is
     /// thread-local for scheduling purposes.
     std::set<VarId> OthersWrite;
-    /// Union of every *other* thread's static read footprint (populated
-    /// only under AnalysisFusion, from analysis/Footprint.h): a store to a
-    /// location outside OthersWrite ∪ OthersRead deposits a message no
-    /// peer can ever observe.
+    /// Union of every *other* thread's static read footprint (from
+    /// analysis/Footprint.h): a store to a location outside OthersWrite ∪
+    /// OthersRead deposits a message no peer can ever observe.
     std::set<VarId> OthersRead;
     /// This thread's own promise location domain. When promises are
     /// enabled, a read of an own-promisable location is not fusible: the
@@ -128,7 +123,7 @@ private:
   /// True when thread \p T's store/CAS to \p X commutes with every peer
   /// step: no peer reads or writes \p X, \p X is outside T's own promise
   /// domain, and reservations are off (a peer reservation on \p X would
-  /// perturb T's placement enumeration). AnalysisFusion only.
+  /// perturb T's placement enumeration).
   bool exclusiveWrite(Tid T, VarId X) const;
 
   /// True when a fence of mode \p FM by thread \p T is fusible: acq-only
@@ -136,129 +131,11 @@ private:
   /// only when T can make no promises at all (the fence rewrites the Rel
   /// snapshot that future promises' message views would carry, so the
   /// pruned "promise before the fence" order is observable otherwise).
-  /// AnalysisFusion only.
   bool fusibleFence(Tid T, FenceMode FM) const;
 
   const Machine *M;
-  bool UseAnalysis = false;
   std::vector<ThreadFacts> Facts; // indexed by thread id
 };
-
-/// Expands one explore node: classifies it (done/blocked), enumerates its
-/// (possibly reduced) successors, records trace bookkeeping into \p Sink
-/// and feeds new children to \p Push. Shared verbatim by the sequential
-/// engine and every parallel worker so the two produce bit-identical
-/// BehaviorSets — counters included — at the same Reduce setting.
-///
-/// \p Sink is BehaviorSet or the parallel engine's PartialBehavior: any
-/// type with Done/Abort/Blocked/Prefixes trace sets and a Transitions
-/// counter. \p Red is null for unreduced exploration, which keeps the
-/// legacy push-as-built expansion byte-for-byte. \p OutBoundHit is set
-/// (never cleared) when the MaxOuts trace bound cuts a successor.
-template <typename SinkT, typename PushT>
-void expandExploreNode(const Machine &M, const Reducer *Red,
-                       const ExploreNode &Cur, const ExploreConfig &C,
-                       std::vector<MachineSuccessor> &Succs,
-                       ReducerScratch &Scr, SinkT &Sink, PushT &&Push,
-                       bool &OutBoundHit) {
-  Sink.Prefixes.insert(Cur.Outs);
-
-  if (Cur.State.allTerminated()) {
-    Sink.Done.insert(Cur.Outs);
-    return;
-  }
-
-  bool Fused = false;
-  if (Red) {
-    Succs.clear();
-    Succs.resize(1);
-    Fused = Red->selectFused(Cur.State, Scr, Succs[0]);
-  }
-  if (!Fused)
-    M.successors(Cur.State, Succs);
-  if (Succs.empty()) {
-    // Never a reduction artifact: a fused successor always exists when
-    // selection succeeds, so emptiness means the full relation is empty.
-    Sink.Blocked.insert(Cur.Outs);
-    return;
-  }
-
-  if (!Red) {
-    // Legacy unreduced expansion: children go straight to the queue.
-    for (MachineSuccessor &S : Succs) {
-      detail::numExploreTransitions() += 1;
-      ++Sink.Transitions;
-      switch (S.Ev.K) {
-      case MachineEvent::Kind::Abort:
-        Sink.Abort.insert(Cur.Outs);
-        break;
-      case MachineEvent::Kind::Out: {
-        if (Cur.Outs.size() >= C.MaxOuts) {
-          OutBoundHit = true;
-          continue;
-        }
-        ExploreNode Child{std::move(S.State), Cur.Outs};
-        Child.Outs.push_back(S.Ev.OutVal);
-        canonicalizeState(Child.State);
-        Push(std::move(Child));
-        break;
-      }
-      case MachineEvent::Kind::Tau: {
-        ExploreNode Child{std::move(S.State), Cur.Outs};
-        canonicalizeState(Child.State);
-        Push(std::move(Child));
-        break;
-      }
-      }
-    }
-    return;
-  }
-
-  // Reduced expansion: buffer canonicalized children and drop siblings
-  // that collapse onto an already-admitted (state, trace) node.
-  Scr.Children.clear();
-  Scr.ChildHashes.clear();
-  for (MachineSuccessor &S : Succs) {
-    detail::numExploreTransitions() += 1;
-    ++Sink.Transitions;
-    switch (S.Ev.K) {
-    case MachineEvent::Kind::Abort:
-      Sink.Abort.insert(Cur.Outs);
-      continue;
-    case MachineEvent::Kind::Out:
-      if (Cur.Outs.size() >= C.MaxOuts) {
-        OutBoundHit = true;
-        continue;
-      }
-      break;
-    case MachineEvent::Kind::Tau:
-      break;
-    }
-    ExploreNode Child{std::move(S.State), Cur.Outs};
-    if (S.Ev.K == MachineEvent::Kind::Out)
-      Child.Outs.push_back(S.Ev.OutVal);
-    Red->project(Child.State);
-    canonicalizeState(Child.State);
-    std::size_t H = ExploreNodeHash{}(Child);
-    bool Duplicate = false;
-    for (std::size_t I = 0; I < Scr.Children.size(); ++I) {
-      if (Scr.ChildHashes[I] == H && Scr.Children[I] == Child) {
-        Duplicate = true;
-        break;
-      }
-    }
-    if (Duplicate) {
-      ++detail::numReductionEquivHits();
-      continue;
-    }
-    Scr.ChildHashes.push_back(H);
-    Scr.Children.push_back(std::move(Child));
-  }
-  for (ExploreNode &Child : Scr.Children)
-    Push(std::move(Child));
-  Scr.Children.clear();
-  Scr.ChildHashes.clear();
-}
 
 } // namespace psopt
 

@@ -23,7 +23,7 @@
 ///   ...
 ///
 /// Checked-in reproducers live in tests/corpus/*.rtl and replay as ctest
-/// cases under every engine configuration (sequential and --jobs=8,
+/// cases under every engine configuration (--jobs=1 and --jobs=8,
 /// cert-cache on and off); see docs/TESTING.md.
 ///
 //===----------------------------------------------------------------------===//

@@ -92,8 +92,8 @@ std::string FuzzReport::str() const {
 
 namespace {
 
-/// One run's oracle context: programs explored under the reference engine
-/// (sequential, cert cache on).
+/// One run's oracle context: programs explored under the reference
+/// configuration (jobs=1, cert cache on).
 struct Oracle {
   StepConfig SC;
   ExploreConfig Seq;
@@ -382,7 +382,7 @@ FuzzReport runFuzzer(const FuzzConfig &C) {
         BehaviorSet Alt = exploreInterleaving(*S.Prog, NoCache, Par);
         if (Alt == *S.Ref)
           continue;
-        // Bisect: sequential cache-off isolates the cache dimension.
+        // Bisect: jobs=1 cache-off isolates the cache dimension.
         BehaviorSet SeqNoCache = exploreInterleaving(*S.Prog, NoCache, O.Seq);
         bool CacheGuilty = SeqNoCache != *S.Ref;
         auto Diverges = [&](const Program &P) {

@@ -9,9 +9,9 @@
 /// exhaustive-exploration oracle (Thm 6.5/6.6 as an executable property):
 /// generate a seeded random ww-RF program, run a pass pipeline, and check
 /// that the target refines the source. Each run additionally cross-checks
-/// the exploration engines against each other — the parallel explorer
+/// the explorer's configurations against each other — a worker pool
 /// (--jobs=N) and the certification cache must produce BehaviorSets
-/// bit-identical to the sequential cache-on engine, and the schedule
+/// bit-identical to the jobs=1 cache-on exploration, and the schedule
 /// reduction (--reduce=off) must reproduce the same behavior sets
 /// (counters aside, BehaviorSet::sameBehaviors) — so any divergence in
 /// that machinery surfaces as a differential failure even when refinement
@@ -67,7 +67,7 @@ struct FuzzFailure {
     Refinement,          ///< target exhibits a behavior the source cannot
     InvalidTarget,       ///< pipeline output fails validation
     RoundTrip,           ///< print -> parse does not reproduce the program
-    ParallelDivergence,  ///< jobs=N BehaviorSet != sequential
+    ParallelDivergence,  ///< jobs=N BehaviorSet != jobs=1
     CertCacheDivergence, ///< cache-off BehaviorSet != cache-on
     ReductionDivergence, ///< reduce-off behavior sets != reduce-on
   };

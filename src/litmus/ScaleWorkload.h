@@ -62,10 +62,9 @@ struct ScaleWorkloadConfig {
   /// Thread-local filler *stores* per thread: each thread repeatedly
   /// overwrites its own private variable (pv<T>, never touched by a
   /// peer). Unlike the read-only filler these are memory-mutating steps,
-  /// so only the analysis-guided reduction (exclusive-write fusion,
-  /// ExploreConfig::AnalysisFusion) can collapse them; the legacy
-  /// reduction must schedule every one. 0 keeps the historical
-  /// workloads byte-identical.
+  /// so only the reducer's analysis-guided exclusive-write fusion
+  /// (DESIGN.md §13) can collapse them. 0 keeps the historical workloads
+  /// byte-identical.
   unsigned PrivateStoresPerThread = 0;
 };
 

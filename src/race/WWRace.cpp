@@ -10,9 +10,7 @@
 #include "nps/NPMachine.h"
 #include "support/Hashing.h"
 
-#include <deque>
 #include <mutex>
-#include <unordered_set>
 
 namespace psopt {
 
@@ -53,14 +51,14 @@ struct StateHash {
 
 } // namespace
 
-/// Race detection is trace-insensitive: both engines memoize on states
-/// alone. The parallel engine stops the pool as soon as any worker finds a
-/// witness; the verdict matches the sequential engine on unbounded runs
-/// because racy-state reachability does not depend on search order.
-static RaceCheckResult
-checkRaceFreedomParallel(const Machine &M, const RaceCheckConfig &C,
-                         const std::function<std::optional<RaceWitness>(
-                             const Program &, const MachineState &)> &Predicate) {
+/// Race detection is trace-insensitive: the search memoizes on states
+/// alone. The pool stops as soon as any worker finds a witness; the verdict
+/// is the same at every worker count on unbounded runs because racy-state
+/// reachability does not depend on search order.
+RaceCheckResult
+checkRaceFreedom(const Machine &M, const RaceCheckConfig &C,
+                 const std::function<std::optional<RaceWitness>(
+                     const Program &, const MachineState &)> &Predicate) {
   RaceCheckResult R;
   if (!M.initial())
     return R; // No execution, no race.
@@ -97,56 +95,6 @@ checkRaceFreedomParallel(const Machine &M, const RaceCheckConfig &C,
   // A found witness is a definite verdict even though the search stopped
   // early; only the node bound makes the answer approximate.
   R.Exact = !Stats.NodeBoundHit;
-  return R;
-}
-
-RaceCheckResult
-checkRaceFreedom(const Machine &M, const RaceCheckConfig &C,
-                 const std::function<std::optional<RaceWitness>(
-                     const Program &, const MachineState &)> &Predicate) {
-  if (C.Jobs > 1)
-    return checkRaceFreedomParallel(M, C, Predicate);
-
-  RaceCheckResult R;
-  if (!M.initial())
-    return R; // No execution, no race.
-
-  MachineState Start = *M.initial();
-  canonicalizeState(Start);
-
-  // Race detection is trace-insensitive: memoize on states alone.
-  std::deque<MachineState> Work;
-  std::unordered_set<MachineState, StateHash> Visited;
-
-  Work.push_back(std::move(Start));
-  std::vector<MachineSuccessor> Succs;
-  while (!Work.empty()) {
-    MachineState S = std::move(Work.front());
-    Work.pop_front();
-    if (Visited.count(S))
-      continue;
-    // Node bound: checked before expansion, mirroring the explorer.
-    if (Visited.size() >= C.MaxNodes) {
-      R.Exact = false;
-      break;
-    }
-    Visited.insert(S);
-    ++R.StatesChecked;
-
-    if (auto W = Predicate(M.program(), S)) {
-      R.RaceFree = false;
-      R.Witness = std::move(W);
-      return R;
-    }
-
-    M.successors(S, Succs);
-    for (MachineSuccessor &MS : Succs) {
-      if (MS.Ev.K == MachineEvent::Kind::Abort)
-        continue;
-      canonicalizeState(MS.State);
-      Work.push_back(std::move(MS.State));
-    }
-  }
   return R;
 }
 

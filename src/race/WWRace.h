@@ -57,10 +57,10 @@ struct RaceCheckResult {
 struct RaceCheckConfig {
   std::uint64_t MaxNodes = 2'000'000;
 
-  /// Worker threads for the reachability search; 1 = sequential. The
-  /// race-free/racy verdict is schedule-independent (the search covers
-  /// the same reachable state set), but the reported witness may differ
-  /// between runs when several racy states exist.
+  /// Worker threads for the reachability search; 1 runs it on the calling
+  /// thread. The race-free/racy verdict is schedule-independent (the
+  /// search covers the same reachable state set), but the reported witness
+  /// may differ between runs when several racy states exist.
   unsigned Jobs = 1;
 };
 

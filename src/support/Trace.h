@@ -179,8 +179,8 @@ private:
 /// Returns all registered gauges (stable registration order).
 const std::vector<Gauge *> &allGauges();
 
-/// The search engines' live gauges (defined in Trace.cpp so both the
-/// sequential explorer and the ParallelBfs template can publish).
+/// The search engine's live gauges (defined in Trace.cpp so every
+/// ParallelBfs instantiation publishes to the same pair).
 Gauge &searchFrontierGauge(); ///< work items not yet expanded
 Gauge &searchVisitedGauge();  ///< visited-table occupancy
 

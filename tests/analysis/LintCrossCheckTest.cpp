@@ -9,9 +9,9 @@
 /// race/RWRace.h) finds a racy state, the static candidates must contain
 /// that (variable, orientation). This suite enforces the containment on
 /// every litmus program, every checked-in corpus reproducer, and the
-/// state-oracle's 50-seed random recipe, under sequential and jobs=8
-/// search (the verdict is schedule-independent; running both exercises
-/// the parallel search against the same static facts).
+/// state-oracle's 50-seed random recipe, under jobs=1 and jobs=8 search
+/// (the verdict is schedule-independent; running both exercises the
+/// worker pool against the same static facts).
 ///
 /// The converse (a static candidate with no dynamic race) is expected —
 /// that is what "over-approximation" means — but the litmus registry's

@@ -1,15 +1,16 @@
-//===- tests/explore/ParallelEquivalenceTest.cpp - Parallel == sequential --------===//
+//===- tests/explore/ParallelEquivalenceTest.cpp - jobs=N == jobs=1 --------------===//
 //
 // Part of psopt.
 //
 //===----------------------------------------------------------------------===//
 ///
-/// The parallel exploration engine's correctness contract: for every
-/// program, machine, and worker count, explore(M, {Jobs=K}) returns a
-/// BehaviorSet *identical* to the sequential engine's — sets, Exhausted
-/// flag, and the NodesVisited/UniqueStates/Transitions counters alike.
-/// Swept over the whole litmus registry and random programs for
-/// K ∈ {2, 4, 8}, plus bound-semantics checks under concurrency.
+/// The exploration engine's worker-count contract: for every program,
+/// machine, and worker count, explore(M, {Jobs=K}) returns a BehaviorSet
+/// *identical* to explore(M, {Jobs=1}) — sets, Exhausted flag, and the
+/// NodesVisited/UniqueStates/Transitions counters alike. Swept over the
+/// whole litmus registry and random programs for K ∈ {2, 4, 8}, plus
+/// bound-semantics checks under concurrency and the one-worker contract
+/// (the search stays on the calling thread).
 ///
 /// This binary is also the ThreadSanitizer target: build with
 /// -DCMAKE_CXX_FLAGS=-fsanitize=thread and run it to race-check the
@@ -18,7 +19,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "explore/Explorer.h"
-#include "explore/ParallelExplorer.h"
+#include "explore/ParallelBfs.h"
 #include "explore/Refinement.h"
 #include "litmus/Litmus.h"
 #include "litmus/RandomProgram.h"
@@ -27,6 +28,10 @@
 #include "race/WWRace.h"
 
 #include <gtest/gtest.h>
+
+#include <mutex>
+#include <set>
+#include <thread>
 
 namespace psopt {
 namespace {
@@ -73,19 +78,73 @@ TEST(ParallelEquivalenceTest, RandomPrograms) {
   }
 }
 
-TEST(ParallelEquivalenceTest, PoolWithOneWorkerMatchesSequential) {
-  // The pool path itself (bypassing explore()'s Jobs==1 dispatch) agrees
-  // with the sequential engine even with a single worker.
+/// An interleaving machine that records which threads enumerate
+/// successors.
+class ThreadRecordingMachine : public InterleavingMachine {
+public:
+  using InterleavingMachine::InterleavingMachine;
+
+  void successors(const MachineState &S,
+                  std::vector<MachineSuccessor> &Out) const override {
+    {
+      std::lock_guard<std::mutex> Lock(Mutex);
+      Callers.insert(std::this_thread::get_id());
+    }
+    InterleavingMachine::successors(S, Out);
+  }
+
+  std::set<std::thread::id> callers() const {
+    std::lock_guard<std::mutex> Lock(Mutex);
+    return Callers;
+  }
+
+private:
+  mutable std::mutex Mutex;
+  mutable std::set<std::thread::id> Callers;
+};
+
+TEST(ParallelEquivalenceTest, OneWorkerRunsOnCallingThread) {
+  // At Jobs=1 the pool spawns nothing: every successors() call, in the
+  // explorer and in the race checker, happens on the calling thread.
   const LitmusTest &T = litmus("sb");
-  InterleavingMachine M(T.Prog, T.SuggestedConfig());
-  ExploreConfig C;
-  BehaviorSet Base = explore(M, C);
-  EXPECT_TRUE(ParallelExplorer(M, C).run() == Base);
+  const std::set<std::thread::id> Self = {std::this_thread::get_id()};
+  for (bool Reduce : {true, false}) {
+    ThreadRecordingMachine M(T.Prog, T.SuggestedConfig());
+    ExploreConfig C;
+    C.Reduce = Reduce;
+    EXPECT_TRUE(explore(M, C).Exhausted);
+    EXPECT_EQ(M.callers(), Self) << "reduce=" << Reduce;
+  }
+  ThreadRecordingMachine M(T.Prog, T.SuggestedConfig());
+  EXPECT_TRUE(checkRaceFreedom(M, RaceCheckConfig{}, stateHasWWRace).Exact);
+  EXPECT_EQ(M.callers(), Self);
+}
+
+TEST(ParallelEquivalenceTest, OneWorkerUsesOneShard) {
+  EXPECT_EQ(parallelBfsShardCount(1), 1u);
+  EXPECT_EQ(parallelBfsShardCount(0), 1u);
+  EXPECT_GT(parallelBfsShardCount(2), 1u);
+}
+
+TEST(ParallelEquivalenceTest, RaceNodeBoundTripsAtOneWorker) {
+  // The race checker's node bound at Jobs=1: exactly MaxNodes states are
+  // checked and the verdict is flagged inexact.
+  const LitmusTest &T = litmus("sb");
+  RaceCheckResult Full = checkWWRaceFreedom(T.Prog, T.SuggestedConfig());
+  ASSERT_TRUE(Full.RaceFree);
+  ASSERT_TRUE(Full.Exact);
+  ASSERT_GT(Full.StatesChecked, 8u);
+  RaceCheckConfig Tight;
+  Tight.MaxNodes = Full.StatesChecked / 2;
+  RaceCheckResult R = checkWWRaceFreedom(T.Prog, T.SuggestedConfig(), Tight);
+  EXPECT_EQ(R.StatesChecked, Tight.MaxNodes);
+  EXPECT_FALSE(R.Exact);
+  EXPECT_TRUE(R.RaceFree);
 }
 
 TEST(ParallelEquivalenceTest, MissingThreadEntryAborts) {
-  // explore() short-circuits before the pool spins up; the engines must
-  // agree on the degenerate abort-only BehaviorSet.
+  // explore() short-circuits before the pool spins up, returning the
+  // degenerate abort-only BehaviorSet.
   Program P; // no threads registered → no initial state
   ExploreConfig Par;
   Par.Jobs = 4;
@@ -96,7 +155,7 @@ TEST(ParallelEquivalenceTest, MissingThreadEntryAborts) {
 }
 
 TEST(ParallelEquivalenceTest, NodeBoundVerdictIsSoundUnderConcurrency) {
-  // When the node bound trips, every engine must (a) report
+  // When the node bound trips, every worker count must (a) report
   // Exhausted=false and (b) have expanded exactly MaxNodes nodes — the
   // ticket counter makes the cutoff deterministic even with 8 workers.
   const LitmusTest &T = litmus("sb");

@@ -12,7 +12,7 @@
 /// setting must stay bit-identical (counters included) across worker
 /// counts. Node counters are *expected* to shrink under reduction — that
 /// is the point — so cross-setting comparisons use sameBehaviors, while
-/// cross-engine comparisons at a fixed setting use full equality.
+/// cross-worker-count comparisons at a fixed setting use full equality.
 ///
 /// This binary is also a ThreadSanitizer target (with the parallel and
 /// cert-cache suites): the jobs=2/8 reduced runs race-check the shared
@@ -38,30 +38,21 @@ namespace {
 const unsigned JobCounts[] = {2, 8};
 
 /// Reduced and unreduced exploration agree on the behavior sets; each
-/// setting is bit-identical across the sequential and parallel engines.
+/// setting is bit-identical across worker counts.
 void expectReductionSound(const Program &P, const StepConfig &SC) {
-  ExploreConfig On, Legacy, Off;
+  ExploreConfig On, Off;
   On.Reduce = true;
-  Legacy.Reduce = true;
-  Legacy.AnalysisFusion = false; // --reduce=legacy: pre-analysis fusion
   Off.Reduce = false;
   BehaviorSet ROn = exploreInterleaving(P, SC, On);
-  BehaviorSet RLeg = exploreInterleaving(P, SC, Legacy);
   BehaviorSet ROff = exploreInterleaving(P, SC, Off);
   EXPECT_TRUE(ROn.sameBehaviors(ROff)) << "reduce=on vs reduce=off";
-  EXPECT_TRUE(RLeg.sameBehaviors(ROff)) << "reduce=legacy vs reduce=off";
   // Reduction only merges and prunes; it can never grow the node graph.
-  // The analysis facts strictly extend the fusible step set, so fusion
-  // can only shrink the reduced graph further.
-  EXPECT_LE(ROn.NodesVisited, RLeg.NodesVisited);
-  EXPECT_LE(RLeg.NodesVisited, ROff.NodesVisited);
+  EXPECT_LE(ROn.NodesVisited, ROff.NodesVisited);
   for (unsigned K : JobCounts) {
-    ExploreConfig OnK = On, LegK = Legacy, OffK = Off;
-    OnK.Jobs = LegK.Jobs = OffK.Jobs = K;
+    ExploreConfig OnK = On, OffK = Off;
+    OnK.Jobs = OffK.Jobs = K;
     EXPECT_TRUE(exploreInterleaving(P, SC, OnK) == ROn)
         << "reduce=on, jobs=" << K;
-    EXPECT_TRUE(exploreInterleaving(P, SC, LegK) == RLeg)
-        << "reduce=legacy, jobs=" << K;
     EXPECT_TRUE(exploreInterleaving(P, SC, OffK) == ROff)
         << "reduce=off, jobs=" << K;
   }
@@ -144,13 +135,17 @@ TEST(ReductionEquivalenceTest, ReductionActuallyPrunes) {
   EXPECT_GT(detail::numReductionSleepSkips().value(), Skips0);
 }
 
-TEST(ReductionEquivalenceTest, AnalysisFusionShrinksPrivateStoreWorkload) {
-  // The bench_scale private-store ablation as a regression test: threads
-  // made mostly of stores to their own private variables. The legacy
-  // reduction must schedule every store (memory-mutating steps were never
-  // fusible pre-analysis); exclusive-write fusion collapses them, so the
-  // analysis-guided graph must be well over 5x smaller with identical
-  // behaviors.
+TEST(ReductionEquivalenceTest, ExclusiveWriteFusionShrinksPrivateStoreWorkload) {
+  // The bench_scale private-store workload as a regression test: threads
+  // made mostly of stores to their own private variables. A reducer
+  // without exclusive-write fusion must schedule every store; with it the
+  // stores collapse, so the reduced graph must be well over 5x smaller
+  // than that reducer's.
+  //
+  // NodesVisited of this program under the retired --reduce=legacy
+  // reducer (reduction on, no static-footprint fusion), measured at commit
+  // a1ea4b0 before that mode was removed.
+  constexpr std::uint64_t kLegacyNodes = 7956;
   ScaleWorkloadConfig WC;
   WC.Seed = 19;
   WC.NumThreads = 3;
@@ -160,15 +155,11 @@ TEST(ReductionEquivalenceTest, AnalysisFusionShrinksPrivateStoreWorkload) {
   Program P = generateScaleWorkload(WC);
   StepConfig SC;
   SC.EnablePromises = false;
-  ExploreConfig On, Legacy;
-  On.Reduce = Legacy.Reduce = true;
-  Legacy.AnalysisFusion = false;
+  ExploreConfig On;
+  On.Reduce = true;
   BehaviorSet ROn = exploreInterleaving(P, SC, On);
-  BehaviorSet RLeg = exploreInterleaving(P, SC, Legacy);
   ASSERT_TRUE(ROn.Exhausted);
-  ASSERT_TRUE(RLeg.Exhausted);
-  EXPECT_TRUE(ROn.sameBehaviors(RLeg));
-  EXPECT_LE(ROn.NodesVisited * 5, RLeg.NodesVisited)
+  EXPECT_LE(ROn.NodesVisited * 5, kLegacyNodes)
       << "exclusive-write fusion should collapse the private stores";
 }
 

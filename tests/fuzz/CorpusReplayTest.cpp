@@ -7,7 +7,7 @@
 /// Replays every reproducer checked into tests/corpus/ (the build passes
 /// the directory as PSOPT_CORPUS_DIR) and checks its recorded verdict —
 /// expect-fail entries must still fail refinement, expect-hold entries
-/// must still hold — under every engine configuration: sequential and
+/// must still hold — under every engine configuration: jobs=1 and
 /// jobs=8, certification cache on and off. A regression in a pass, the
 /// explorer, or either engine dimension shows up here as a mismatch on a
 /// minimized, named program.

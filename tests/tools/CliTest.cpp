@@ -127,15 +127,15 @@ TEST(CliTest, LintJsonFormat) {
 TEST(CliTest, ExploreReduceSettingsAgree) {
   std::string P = writeTemp("cli_reduce.psopt", MpProgram);
   CliResult On = runCli("explore --reduce=on " + P);
-  CliResult Legacy = runCli("explore --reduce=legacy " + P);
   CliResult Off = runCli("explore --reduce=off " + P);
   EXPECT_EQ(On.ExitCode, 0);
-  EXPECT_EQ(Legacy.ExitCode, 0);
   EXPECT_EQ(Off.ExitCode, 0);
-  for (const CliResult *R : {&On, &Legacy, &Off}) {
+  for (const CliResult *R : {&On, &Off}) {
     EXPECT_NE(R->Output.find("[42] done"), std::string::npos) << R->Output;
     EXPECT_NE(R->Output.find("[-1] done"), std::string::npos) << R->Output;
   }
+  // The pre-analysis reducer is retired; its flag value is an error now.
+  EXPECT_NE(runCli("explore --reduce=legacy " + P).ExitCode, 0);
 }
 
 TEST(CliTest, OptimizeRunsPasses) {

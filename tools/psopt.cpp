@@ -32,11 +32,10 @@
 // Flag parsing is table-driven: one FlagSpec per flag, one CommandSpec per
 // command naming the flags it accepts — a flag a command doesn't list is
 // rejected instead of silently ignored. explore/refine/equiv/fuzz accept
-// --cert-cache=on|off (default on) and --reduce=on|off|legacy (default on;
-// `legacy` disables the footprint-analysis-guided fusion inside the
-// reduction, for ablations — see DESIGN.md sections 10 and 13). The
-// telemetry flags --stats, --stats-format, --trace-out, --trace-jsonl and
-// --progress are global: every command accepts them (DESIGN.md §14).
+// --cert-cache=on|off (default on) and --reduce=on|off (default on; see
+// DESIGN.md sections 10 and 13). The telemetry flags --stats,
+// --stats-format, --trace-out, --trace-jsonl and --progress are global:
+// every command accepts them (DESIGN.md §14).
 //
 //===----------------------------------------------------------------------===//
 
@@ -76,7 +75,6 @@ struct Options {
   bool RwRace = false;
   bool CertCacheOn = true;
   bool ReduceOn = true;
-  bool AnalysisFusion = true; ///< --reduce=legacy turns this off
   bool Stats = false;
   std::string StatsFormat = "text"; ///< --stats-format=text|json
   std::string TraceOut;             ///< Chrome trace-event JSON path
@@ -175,10 +173,9 @@ const FlagSpec FlagTable[] = {
      }},
     {Flag::Reduce, "--reduce=",
      [](Options &O, const std::string &V) {
-       if (V != "on" && V != "off" && V != "legacy")
+       if (V != "on" && V != "off")
          return false;
-       O.ReduceOn = V != "off";
-       O.AnalysisFusion = V == "on";
+       O.ReduceOn = V == "on";
        return true;
      }},
     {Flag::Stats, "--stats",
@@ -378,7 +375,7 @@ int usage() {
       stderr,
       "usage: psopt <command> [args]\n"
       "  explore  <file> [--np] [--no-promises] [--max-nodes=N] [--jobs=N]\n"
-      "           [--cert-cache=on|off] [--reduce=on|off|legacy]\n"
+      "           [--cert-cache=on|off] [--reduce=on|off]\n"
       "  race     <file> [--np] [--rw] [--no-promises] [--max-nodes=N]\n"
       "           [--jobs=N] [--cert-cache=on|off]\n"
       "  lint     <file> [--format=text|json]\n"
@@ -388,9 +385,9 @@ int usage() {
   std::fprintf(
       stderr,
       "  refine   <target> <source> [--np] [--no-promises] [--jobs=N]\n"
-      "           [--cert-cache=on|off] [--reduce=on|off|legacy]\n"
+      "           [--cert-cache=on|off] [--reduce=on|off]\n"
       "  equiv    <file> [--no-promises] [--jobs=N] [--cert-cache=on|off]\n"
-      "           [--reduce=on|off|legacy]\n"
+      "           [--reduce=on|off]\n"
       "  witness  <file> --trace=v1,v2,... [--end=done|abort|partial]\n"
       "  litmus   [name]\n"
       "  fuzz     [--seed=N] [--runs=N] [--jobs=N] [--passes=p1,p2,...]\n"
@@ -401,8 +398,6 @@ int usage() {
       "(default on; behavior-identical to off, see DESIGN.md section 8).\n"
       "--reduce fuses commuting thread-local schedules in the explorer\n"
       "(default on; behavior-identical to off, see DESIGN.md section 10).\n"
-      "--reduce=legacy keeps reduction on but disables the static-footprint\n"
-      "fusion rules (DESIGN.md section 13), for ablations.\n"
       "lint reports static race candidates, recognized release/acquire\n"
       "sync chains, mixed-mode atomics, dominated fences and never-read\n"
       "atomics; exit 1 when race candidates exist. --format=json is the\n"
@@ -520,7 +515,6 @@ ExploreConfig exploreConfig(const Options &O) {
   EC.MaxNodes = O.MaxNodes;
   EC.Jobs = O.Jobs;
   EC.Reduce = O.ReduceOn;
-  EC.AnalysisFusion = O.AnalysisFusion;
   return EC;
 }
 
