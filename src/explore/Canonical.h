@@ -16,8 +16,26 @@
 ///    *identical*, so the reachable state graph of a finite-control
 ///    program is finite and memoizable.
 ///
+/// Canonical by construction: a successor whose memory equals that of its
+/// canonical parent is already canonical, so the explorer skips the
+/// renaming for it (one memory compare, by pointer for COW-shared lists).
+/// The renaming is a function of the set of timestamps the state mentions,
+/// and that set is fixed by the memory alone:
+///
+///  * every thread-view timestamp (V, Acq, Rel — and so every message
+///    view, which is a thread-view snapshot) is 0 or the To of a concrete
+///    message: views only ever join read, written or promised messages'
+///    Tos, and the terminated-thread projection only resets views to ⊥;
+///  * concrete messages are never removed (only reservations are), so the
+///    Tos a view once named stay in memory.
+///
+/// Hence equal memories give equal timestamp sets, and the parent's
+/// renaming — the identity, since the parent is canonical — is the
+/// child's too.
+///
 /// Property-tested in tests/explore/CanonicalTest.cpp: idempotence, order
-/// preservation, and step-commutation on random programs.
+/// preservation, step-commutation on random programs, and the
+/// canonical-by-construction rule over every reachable reduced expansion.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -132,7 +132,10 @@ static void expandExploreNode(const Machine &M, const Reducer *Red,
     if (S.Ev.K == MachineEvent::Kind::Out)
       Child.Outs.push_back(S.Ev.OutVal);
     Red->project(Child.State);
-    canonicalizeState(Child.State);
+    // Canonical by construction (Canonical.h): a child that kept its
+    // canonical parent's memory needs no renaming.
+    if (!(Child.State.Mem == Cur.State.Mem))
+      canonicalizeState(Child.State);
     std::size_t H = ExploreNodeHash{}(Child);
     bool Duplicate = false;
     for (std::size_t I = 0; I < Scr.Children.size(); ++I) {

@@ -101,54 +101,57 @@ bool Reducer::selectFused(const MachineState &S, ReducerScratch &Scr,
     if (S.Mem.hasConcretePromises(T))
       continue;
 
-    // Walk T's maximal deterministic thread-local chain. Fused stores
-    // deposit messages, so the chain threads its own memory copy (lazily:
-    // untouched until the first memory-writing fused step).
-    ThreadState Cur = TS0;
+    // Walk T's maximal deterministic thread-local chain. Each step's
+    // locality is decided from the current instruction alone; skip,
+    // assign, control, read and fence steps then advance Cur in place.
+    // Fused stores deposit messages, so the chain threads its own memory
+    // copy (lazily: untouched until the first memory-writing fused step).
+    ThreadState &Cur = Scr.Chain;
+    Cur = TS0;
     Memory ChainMem;
     bool MemChanged = false;
     Scr.ChainLocals.clear();
     Scr.ChainLocals.push_back(Cur.Local.hash());
     unsigned Len = 0;
     for (;;) {
-      Scr.Steps.clear();
-      enumerateProgramSteps(P, T, Cur, MemChanged ? ChainMem : S.Mem,
-                            Scr.Steps, M->config());
-      if (Scr.Steps.size() != 1 || Scr.Steps[0].Abort)
-        break; // chain ends before a branch point / abort
-      ThreadSuccessor &Step = Scr.Steps[0];
-      bool ThreadLocal = false;
-      bool MemStep = false;
-      if (Step.Ev.K == ThreadEvent::Kind::Tau) {
-        // Skip/assign/terminator: touches neither memory nor the view.
-        ThreadLocal = true;
-      } else if (Step.Ev.K == ThreadEvent::Kind::Read &&
-                 exclusiveRead(T, Step.Ev.Var)) {
-        // A read of a location no peer can write: the readable set is
-        // schedule-independent, so a unique read now is the same unique
-        // read under any peer order, whether or not it moves the view.
-        ThreadLocal = true;
-      } else if ((Step.Ev.K == ThreadEvent::Kind::Write ||
-                  Step.Ev.K == ThreadEvent::Kind::Update) &&
-                 exclusiveWrite(T, Step.Ev.Var)) {
+      const Memory &Mem = MemChanged ? ChainMem : S.Mem;
+      const Instr *I = Cur.Local.currentInstr(P);
+      Instr::Kind K = I ? I->kind() : Instr::Kind::Skip; // terminator: tau
+      if (K == Instr::Kind::Store || K == Instr::Kind::Cas) {
         // A store/CAS on a location no peer reads, writes, or reserves:
         // the new message is invisible to every peer step and to every
         // peer's certification search, and the placement enumeration is
-        // peer-independent, so the write commutes like a tau.
-        ThreadLocal = true;
-        MemStep = true;
-      } else if (Step.Ev.K == ThreadEvent::Kind::Fence &&
-                 fusibleFence(T, Step.Ev.FM)) {
-        // Fences edit only the thread's own views (see fusibleFence for
-        // the rel-side promise caveat).
-        ThreadLocal = true;
-      }
-      if (!ThreadLocal)
-        break;
-      Cur = std::move(Step.TS);
-      if (MemStep) {
-        ChainMem = std::move(Step.Mem);
-        MemChanged = true;
+        // peer-independent, so the write commutes like a tau. A CAS that
+        // can only fail is a read and needs just exclusiveRead.
+        Scr.Steps.clear();
+        enumerateProgramSteps(P, T, Cur, Mem, Scr.Steps, M->config());
+        if (Scr.Steps.size() != 1 || Scr.Steps[0].Abort)
+          break; // chain ends before a branch point / abort
+        ThreadSuccessor &Step = Scr.Steps[0];
+        bool Writes = Step.Ev.K == ThreadEvent::Kind::Write ||
+                      Step.Ev.K == ThreadEvent::Kind::Update;
+        if (Writes ? !exclusiveWrite(T, Step.Ev.Var)
+                   : !exclusiveRead(T, Step.Ev.Var))
+          break;
+        Cur = std::move(Step.TS);
+        if (Writes) {
+          ChainMem = std::move(Step.Mem);
+          MemChanged = true;
+        }
+      } else {
+        // Skip/assign/terminator touch neither memory nor the view. A read
+        // of a location no peer can write has a schedule-independent
+        // readable set, so a unique read now is the same unique read under
+        // any peer order, whether or not it moves the view. Fences edit
+        // only the thread's own views (see fusibleFence for the rel-side
+        // promise caveat). Output is observable and never fused.
+        if (K == Instr::Kind::Print ||
+            (K == Instr::Kind::Load && !exclusiveRead(T, I->var())) ||
+            (K == Instr::Kind::Fence && !fusibleFence(T, I->fenceMode())))
+          break;
+        ThreadEvent Ev;
+        if (!stepInPlace(P, T, Cur, Mem, Ev, M->config()))
+          break; // a branch point (several readable messages) or an abort
       }
       ++Len;
       if (Cur.Local.isTerminated())
@@ -177,8 +180,7 @@ bool Reducer::selectFused(const MachineState &S, ReducerScratch &Scr,
     // Per-step certification is vacuous throughout (T holds no promises),
     // so skipping it loses nothing.
     Out.State = S;
-    Out.State.Threads[T] = std::move(Cur);
-    Out.State.Threads[T].invalidateHash();
+    Out.State.Threads[T] = Cur;
     if (MemChanged)
       Out.State.Mem = std::move(ChainMem);
     Out.State.invalidateHash();

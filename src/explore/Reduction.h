@@ -68,7 +68,8 @@ Statistic &numReductionEquivHits();
 /// Per-worker scratch buffers for the reduction layer; reused across node
 /// expansions to keep the hot path allocation-free.
 struct ReducerScratch {
-  std::vector<ThreadSuccessor> Steps;   ///< chain-probe enumeration buffer
+  std::vector<ThreadSuccessor> Steps;   ///< store/CAS enumeration buffer
+  ThreadState Chain;                    ///< the thread walked along a chain
   std::vector<std::size_t> ChainLocals; ///< local-state hashes along a chain
   std::vector<ExploreNode> Children;    ///< buffered siblings for the OE filter
   std::vector<std::size_t> ChildHashes; ///< their node hashes (prefilter)

@@ -8,45 +8,50 @@
 #include "support/Debug.h"
 #include "support/Hashing.h"
 
+#include <algorithm>
+
 namespace psopt {
 
-bool RegFile::operator==(const RegFile &O) const {
-  // Register files are semantically total maps defaulting to 0, so compare
-  // the union of the two key sets.
-  for (const auto &[R, V] : Values)
-    if (V != O.get(R))
-      return false;
-  for (const auto &[R, V] : O.Values)
-    if (V != get(R))
-      return false;
-  return true;
+static bool entryBefore(const std::pair<RegId, Val> &E, RegId Key) {
+  return E.first < Key;
+}
+
+std::vector<RegFile::Entry>::const_iterator RegFile::find(RegId R) const {
+  return std::lower_bound(Values.begin(), Values.end(), R, entryBefore);
+}
+
+void RegFile::set(RegId R, Val V) {
+  auto It = std::lower_bound(Values.begin(), Values.end(), R, entryBefore);
+  bool Present = It != Values.end() && It->first == R;
+  if (V == 0) {
+    if (Present)
+      Values.erase(It);
+  } else if (Present) {
+    It->second = V;
+  } else {
+    Values.insert(It, Entry(R, V));
+  }
 }
 
 std::size_t RegFile::hash() const {
-  // Order-independent combination (xor of per-entry hashes) so that the
-  // map's iteration order does not leak into the hash. Zero-valued entries
-  // must not contribute: they are indistinguishable from absent ones.
+  // Xor of per-entry hashes: the order-independent combination a hash-map
+  // file needed, kept so that state hashes (and UniqueStates, which counts
+  // distinct ones) do not depend on the register-file representation.
   std::size_t H = 0;
   for (const auto &[R, V] : Values) {
-    if (V == 0)
-      continue;
-    std::size_t Entry = 0;
-    hashCombineValue(Entry, R.raw());
-    hashCombineValue(Entry, V);
-    H ^= hashFinalize(Entry);
+    std::size_t Mix = 0;
+    hashCombineValue(Mix, R.raw());
+    hashCombineValue(Mix, V);
+    H ^= hashFinalize(Mix);
   }
   return H;
 }
 
 std::string RegFile::str() const {
   std::string Out = "{";
-  bool First = true;
   for (const auto &[R, V] : Values) {
-    if (V == 0)
-      continue;
-    if (!First)
+    if (Out.size() > 1)
       Out += ", ";
-    First = false;
     Out += R.str() + "=" + std::to_string(V);
   }
   Out += "}";

@@ -24,7 +24,8 @@
 #include <optional>
 #include <set>
 #include <string>
-#include <unordered_map>
+#include <utility>
+#include <vector>
 
 namespace psopt {
 
@@ -33,22 +34,32 @@ class Expr;
 using ExprRef = std::shared_ptr<const Expr>;
 
 /// Thread-local register file: register values, defaulting to 0.
+///
+/// Stored flat: a vector of (register, value) pairs sorted by register id
+/// that holds only nonzero values (writing 0 erases the entry). The
+/// representation is therefore canonical — equal files are equal vectors —
+/// and a copy is a single allocation, which matters because every thread
+/// step copies its register file.
 class RegFile {
 public:
   /// Reads \p R (0 if never written).
   Val get(RegId R) const {
-    auto It = Values.find(R);
-    return It == Values.end() ? 0 : It->second;
+    auto It = find(R);
+    return It != Values.end() && It->first == R ? It->second : 0;
   }
   /// Writes \p V to \p R.
-  void set(RegId R, Val V) { Values[R] = V; }
+  void set(RegId R, Val V);
 
-  bool operator==(const RegFile &O) const;
+  bool operator==(const RegFile &O) const { return Values == O.Values; }
   std::size_t hash() const;
+  /// Renders the nonzero registers in register-id order.
   std::string str() const;
 
 private:
-  std::unordered_map<RegId, Val> Values;
+  using Entry = std::pair<RegId, Val>;
+  std::vector<Entry>::const_iterator find(RegId R) const;
+
+  std::vector<Entry> Values; // sorted by register id, values nonzero
 };
 
 /// An immutable expression node.

@@ -77,9 +77,9 @@ bool LocalState::applyTerminator(const Program &P) {
     }
     {
       ReturnPoint RP = Stack.back();
-      Stack.pop_back();
       if (!P.hasFunction(RP.Func) || !P.function(RP.Func).hasBlock(RP.Label))
         return false;
+      Stack.pop_back();
       CurFunc = RP.Func;
       CurBlock = RP.Label;
       InstrIdx = 0;

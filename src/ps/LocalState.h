@@ -60,7 +60,8 @@ public:
 
   /// Executes the current terminator (control transfer only; `be` evaluates
   /// its condition against the register file). Returns false on a dynamic
-  /// control error (missing block/function) — the thread aborts.
+  /// control error (missing block/function) — the thread aborts — and
+  /// then leaves the state unchanged.
   bool applyTerminator(const Program &P);
 
   /// Collapses a terminated state onto its canonical representative: the

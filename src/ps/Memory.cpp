@@ -170,13 +170,29 @@ std::optional<Placement> Memory::casPlacement(VarId X,
   return std::nullopt;
 }
 
+static bool isReadable(const Message &M, const Time &MinTo) {
+  return M.isConcrete() && M.To >= MinTo;
+}
+
 std::vector<const Message *> Memory::readable(VarId X,
                                               const Time &MinTo) const {
   std::vector<const Message *> Out;
   for (const Message &M : messages(X))
-    if (M.isConcrete() && M.To >= MinTo)
+    if (isReadable(M, MinTo))
       Out.push_back(&M);
   return Out;
+}
+
+const Message *Memory::uniqueReadable(VarId X, const Time &MinTo) const {
+  const Message *Found = nullptr;
+  for (const Message &M : messages(X)) {
+    if (!isReadable(M, MinTo))
+      continue;
+    if (Found)
+      return nullptr;
+    Found = &M;
+  }
+  return Found;
 }
 
 std::vector<const Message *> Memory::promisesOf(Tid T) const {

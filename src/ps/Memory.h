@@ -118,6 +118,10 @@ public:
   /// concrete only.
   std::vector<const Message *> readable(VarId X, const Time &MinTo) const;
 
+  /// The only message readable(X, MinTo) would return, or null when it
+  /// would return none or several. Allocation-free.
+  const Message *uniqueReadable(VarId X, const Time &MinTo) const;
+
   /// The promise set P of thread \p T: concrete promises plus reservations
   /// owned by T.
   std::vector<const Message *> promisesOf(Tid T) const;

@@ -5,11 +5,43 @@
 //===----------------------------------------------------------------------===//
 
 #include "ps/ThreadStep.h"
-#include "support/Debug.h"
 
 namespace psopt {
 
 namespace {
+
+/// True when load \p I breaks its location's access mode (an na read of an
+/// atomic location or an atomic read of an na one): the step aborts.
+bool loadAborts(const Program &P, const Instr &I) {
+  return P.isAtomic(I.var()) == (I.readMode() == ReadMode::NA);
+}
+
+/// The read bound of load \p I under view \p V: Tna for na reads, Trlx for
+/// rlx/acq (§3).
+Time readBound(const View &V, const Instr &I) {
+  return I.readMode() == ReadMode::NA ? V.naAt(I.var()) : V.rlxAt(I.var());
+}
+
+/// Applies to \p TS the thread-local effect of reading \p Msg at \p X in
+/// mode \p RM and advances past the instruction. \p Dest receives
+/// \p RegVal: the message value for a load, 0 for a failed CAS.
+void applyRead(ThreadState &TS, VarId X, ReadMode RM, RegId Dest, Val RegVal,
+               const Message &Msg, const StepConfig &C) {
+  // na reads record the timestamp on Trlx only; rlx/acq record it on both
+  // maps; acq additionally joins the message view (§3).
+  TS.V.joinRlxAt(X, Msg.To);
+  if (RM != ReadMode::NA)
+    TS.V.joinNaAt(X, Msg.To);
+  if (RM == ReadMode::ACQ)
+    TS.V.join(Msg.MsgView);
+  // A relaxed read banks the message view for a later acquire fence
+  // (C11: the fence upgrades preceding relaxed reads to acquire).
+  if (C.TrackAcqView && RM == ReadMode::RLX)
+    TS.Acq.join(Msg.MsgView);
+  TS.Local.regs().set(Dest, RegVal);
+  TS.Local.advance();
+  TS.invalidateHash();
+}
 
 /// Shared context for building successors of one (thread, state, memory).
 struct StepBuilder {
@@ -29,10 +61,9 @@ struct StepBuilder {
     Out.push_back(std::move(S));
   }
 
-  /// Emits a successor that advanced σ past the current instruction. The
-  /// fence views carry over unchanged (only fences and — under
-  /// TrackAcqView — relaxed reads edit them; those build successors by
-  /// hand).
+  /// Emits a store successor that advanced σ past the current
+  /// instruction. The fence views carry over unchanged (stores never edit
+  /// them).
   void emitAdvanced(ThreadEvent Ev, View NewV, Memory NewM) {
     ThreadSuccessor S;
     S.Ev = std::move(Ev);
@@ -48,37 +79,15 @@ struct StepBuilder {
   // --- instruction semantics ----------------------------------------------
 
   void load(const Instr &I) {
-    VarId X = I.var();
-    ReadMode RM = I.readMode();
-    bool Atomic = P.isAtomic(X);
-    if (Atomic == (RM == ReadMode::NA)) {
+    if (loadAborts(P, I)) {
       abortStep();
       return;
     }
-    // The read bound: Tna for na reads, Trlx for rlx/acq (§3).
-    const Time Bound =
-        RM == ReadMode::NA ? TS.V.naAt(X) : TS.V.rlxAt(X);
-    for (const Message *Msg : M.readable(X, Bound)) {
-      View NewV = TS.V;
-      // na reads record the timestamp on Trlx only; rlx/acq record it on
-      // both maps; acq additionally joins the message view (§3).
-      NewV.joinRlxAt(X, Msg->To);
-      if (RM != ReadMode::NA)
-        NewV.joinNaAt(X, Msg->To);
-      if (RM == ReadMode::ACQ)
-        NewV.join(Msg->MsgView);
+    for (const Message *Msg : M.readable(I.var(), readBound(TS.V, I))) {
       ThreadSuccessor S;
-      S.Ev = ThreadEvent::read(RM, X, Msg->Value);
-      S.TS.Local = TS.Local;
-      S.TS.Local.regs().set(I.dest(), Msg->Value);
-      S.TS.Local.advance();
-      S.TS.V = std::move(NewV);
-      S.TS.Acq = TS.Acq;
-      // A relaxed read banks the message view for a later acquire fence
-      // (C11: the fence upgrades preceding relaxed reads to acquire).
-      if (C.TrackAcqView && RM == ReadMode::RLX)
-        S.TS.Acq.join(Msg->MsgView);
-      S.TS.Rel = TS.Rel;
+      S.Ev = ThreadEvent::read(I.readMode(), I.var(), Msg->Value);
+      S.TS = TS;
+      applyRead(S.TS, I.var(), I.readMode(), I.dest(), Msg->Value, *Msg, C);
       S.Mem = M;
       Out.push_back(std::move(S));
     }
@@ -151,21 +160,10 @@ struct StepBuilder {
       if (Msg->Value != Expected) {
         // Failed CAS behaves as a plain read of the chosen message; the
         // result register is set to 0.
-        View NewV = TS.V;
-        NewV.joinNaAt(X, Msg->To);
-        NewV.joinRlxAt(X, Msg->To);
-        if (RM == ReadMode::ACQ)
-          NewV.join(Msg->MsgView);
         ThreadSuccessor S;
         S.Ev = ThreadEvent::read(RM, X, Msg->Value);
-        S.TS.Local = TS.Local;
-        S.TS.Local.regs().set(I.dest(), 0);
-        S.TS.Local.advance();
-        S.TS.V = std::move(NewV);
-        S.TS.Acq = TS.Acq;
-        if (C.TrackAcqView && RM == ReadMode::RLX)
-          S.TS.Acq.join(Msg->MsgView);
-        S.TS.Rel = TS.Rel;
+        S.TS = TS;
+        applyRead(S.TS, X, RM, I.dest(), 0, *Msg, C);
         S.Mem = M;
         Out.push_back(std::move(S));
         continue;
@@ -204,9 +202,48 @@ struct StepBuilder {
       Out.push_back(std::move(S));
     }
   }
+};
 
-  void fence(const Instr &I) {
-    FenceMode FM = I.fenceMode();
+} // namespace
+
+bool stepInPlace(const Program &P, Tid T, ThreadState &TS, const Memory &M,
+                 ThreadEvent &Ev, const StepConfig &C) {
+  if (TS.Local.isTerminated())
+    return false;
+  const Instr *I = TS.Local.currentInstr(P);
+  if (!I) {
+    // Terminator: a silent control step. applyTerminator leaves the state
+    // alone on a control error (the step aborts).
+    if (!TS.Local.applyTerminator(P))
+      return false;
+    Ev = ThreadEvent::tau();
+    TS.invalidateHash();
+    return true;
+  }
+
+  switch (I->kind()) {
+  case Instr::Kind::Skip:
+    Ev = ThreadEvent::tau();
+    break;
+  case Instr::Kind::Assign:
+    Ev = ThreadEvent::tau();
+    TS.Local.regs().set(I->dest(), I->expr()->eval(TS.Local.regs()));
+    break;
+  case Instr::Kind::Print:
+    Ev = ThreadEvent::out(I->expr()->eval(TS.Local.regs()));
+    break;
+  case Instr::Kind::Load: {
+    if (loadAborts(P, *I))
+      return false;
+    const Message *Msg = M.uniqueReadable(I->var(), readBound(TS.V, *I));
+    if (!Msg)
+      return false;
+    Ev = ThreadEvent::read(I->readMode(), I->var(), Msg->Value);
+    applyRead(TS, I->var(), I->readMode(), I->dest(), Msg->Value, *Msg, C);
+    return true;
+  }
+  case Instr::Kind::Fence: {
+    FenceMode FM = I->fenceMode();
     // Release-side fences require the thread's promise set empty (PS1.0
     // style): a thread may not run ahead of its own unfulfilled promises
     // past a release fence. The step is simply disabled until the promises
@@ -214,27 +251,25 @@ struct StepBuilder {
     // function, so no thread can *promise* across a release fence either
     // (the certification run could never execute the fence).
     if (fenceHasRel(FM) && M.hasConcretePromises(T))
-      return;
-    ThreadSuccessor S;
-    S.Ev = ThreadEvent::fence(FM);
-    S.TS.Local = TS.Local;
-    S.TS.Local.advance();
-    S.TS.V = TS.V;
-    S.TS.Acq = TS.Acq;
-    S.TS.Rel = TS.Rel;
+      return false;
+    Ev = ThreadEvent::fence(FM);
     if (fenceHasAcq(FM)) {
       // Publish the banked relaxed-read views into V and reset the bank.
-      S.TS.V.join(S.TS.Acq);
-      S.TS.Acq = View{};
+      TS.V.join(TS.Acq);
+      TS.Acq = View{};
     }
     if (fenceHasRel(FM))
-      S.TS.Rel = S.TS.V; // Snapshot for later na/rlx messages and promises.
-    S.Mem = M;
-    Out.push_back(std::move(S));
+      TS.Rel = TS.V; // Snapshot for later na/rlx messages and promises.
+    break;
   }
-};
-
-} // namespace
+  case Instr::Kind::Store:
+  case Instr::Kind::Cas:
+    return false;
+  }
+  TS.Local.advance();
+  TS.invalidateHash();
+  return true;
+}
 
 void enumerateProgramSteps(const Program &P, Tid T, const ThreadState &TS,
                            const Memory &M, std::vector<ThreadSuccessor> &Out,
@@ -244,62 +279,33 @@ void enumerateProgramSteps(const Program &P, Tid T, const ThreadState &TS,
 
   StepBuilder B{P, T, TS, M, C, Out};
   const Instr *I = TS.Local.currentInstr(P);
-
-  if (!I) {
-    // Terminator: a silent control step.
-    ThreadSuccessor S;
-    S.Ev = ThreadEvent::tau();
-    S.TS = TS;
-    S.Mem = M;
-    // S.TS copied TS (whose hash may be memoized) and then mutated Local.
-    S.TS.invalidateHash();
-    if (!S.TS.Local.applyTerminator(P)) {
-      S.Abort = true;
-      S.TS = TS;
+  if (I) {
+    switch (I->kind()) {
+    case Instr::Kind::Load:
+      B.load(*I);
+      return;
+    case Instr::Kind::Store:
+      B.store(*I);
+      return;
+    case Instr::Kind::Cas:
+      B.cas(*I);
+      return;
+    default:
+      break;
     }
-    Out.push_back(std::move(S));
-    return;
   }
 
-  switch (I->kind()) {
-  case Instr::Kind::Skip: {
-    View V = TS.V;
-    B.emitAdvanced(ThreadEvent::tau(), std::move(V), Memory(M));
-    return;
-  }
-  case Instr::Kind::Assign: {
-    ThreadSuccessor S;
-    S.Ev = ThreadEvent::tau();
-    S.TS.Local = TS.Local;
-    S.TS.Local.regs().set(I->dest(), I->expr()->eval(TS.Local.regs()));
-    S.TS.Local.advance();
-    S.TS.V = TS.V;
-    S.TS.Acq = TS.Acq;
-    S.TS.Rel = TS.Rel;
+  // Skip, assign, print, fences and terminators have at most one successor
+  // and leave memory alone: stepInPlace, applied to a copy.
+  ThreadSuccessor S;
+  S.TS = TS;
+  if (stepInPlace(P, T, S.TS, M, S.Ev, C)) {
     S.Mem = M;
     Out.push_back(std::move(S));
-    return;
+  } else if (!I) {
+    B.abortStep(); // the terminator's control transfer failed
   }
-  case Instr::Kind::Print: {
-    View V = TS.V;
-    B.emitAdvanced(ThreadEvent::out(I->expr()->eval(TS.Local.regs())),
-                   std::move(V), Memory(M));
-    return;
-  }
-  case Instr::Kind::Load:
-    B.load(*I);
-    return;
-  case Instr::Kind::Store:
-    B.store(*I);
-    return;
-  case Instr::Kind::Cas:
-    B.cas(*I);
-    return;
-  case Instr::Kind::Fence:
-    B.fence(*I);
-    return;
-  }
-  PSOPT_UNREACHABLE("bad instruction kind");
+  // Otherwise a release-side fence waits for the thread's promises.
 }
 
 bool programHasAcquireFence(const Program &P) {

@@ -11,7 +11,8 @@
 ///
 /// Two entry points mirror Fig 10's step classes:
 ///  * enumerateProgramSteps — instruction and terminator execution
-///    (classes NA and AT);
+///    (classes NA and AT), with stepInPlace as its deterministic,
+///    memory-preserving fragment;
 ///  * enumeratePrcSteps — promise / reserve / cancel steps (class PRC),
 ///    bounded by a StepConfig and a PromiseDomain.
 ///
@@ -48,6 +49,20 @@ struct ThreadSuccessor {
 void enumerateProgramSteps(const Program &P, Tid T, const ThreadState &TS,
                            const Memory &M, std::vector<ThreadSuccessor> &Out,
                            const StepConfig &C = StepConfig{});
+
+/// Advances thread \p T's state \p TS in place by its next program step,
+/// provided that step is the thread's only successor, does not abort, and
+/// leaves memory unchanged: skip, assign, print, a terminator, a load with
+/// exactly one readable message, or an enabled fence. Stores \p Ev and
+/// returns true on success. Returns false — with \p TS untouched — for
+/// stores and CAS, aborting steps, loads with several (or no) readable
+/// messages, fences blocked by outstanding promises, and terminated
+/// threads. enumerateProgramSteps builds its successors for these
+/// instruction kinds from the same code, so the two cannot disagree; the
+/// explorer's chain fuser walks thread-local chains with it without
+/// materializing a ThreadSuccessor per step.
+bool stepInPlace(const Program &P, Tid T, ThreadState &TS, const Memory &M,
+                 ThreadEvent &Ev, const StepConfig &C = StepConfig{});
 
 /// True when any instruction of \p P is a fence with an acquire component.
 /// Machines use this to switch on StepConfig::TrackAcqView.

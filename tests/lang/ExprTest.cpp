@@ -39,6 +39,58 @@ TEST(ExprTest, WrapAroundArithmetic) {
   EXPECT_EQ(add(reg(R), cst(1))->eval(Regs), -2147483647 - 1);
 }
 
+TEST(RegFileTest, WritingZeroIsNeverWriting) {
+  RegId R1("rf_z1"), R2("rf_z2");
+  RegFile Written;
+  Written.set(R1, 5);
+  Written.set(R2, 0); // never nonzero
+  Written.set(R1, 0); // back to the default
+  RegFile Fresh;
+  EXPECT_TRUE(Written == Fresh);
+  EXPECT_EQ(Written.hash(), Fresh.hash());
+  EXPECT_EQ(Written.str(), "{}");
+  EXPECT_EQ(Written.get(R1), 0);
+}
+
+TEST(RegFileTest, EqualityAndHashIgnoreWriteOrder) {
+  RegId R1("rf_o1"), R2("rf_o2"), R3("rf_o3");
+  RegFile A, B;
+  A.set(R1, 1);
+  A.set(R2, 2);
+  A.set(R3, 3);
+  B.set(R3, 9);
+  B.set(R2, 2);
+  B.set(R1, 1);
+  EXPECT_FALSE(A == B);
+  B.set(R3, 3);
+  EXPECT_TRUE(A == B);
+  EXPECT_EQ(A.hash(), B.hash());
+}
+
+TEST(RegFileTest, StrListsNonzeroRegistersInIdOrder) {
+  // Interned in this order, so rf_s_b has the smaller id.
+  RegId B("rf_s_b"), A("rf_s_a"), Zero("rf_s_zero");
+  ASSERT_LT(B, A);
+  RegFile Regs;
+  Regs.set(A, 1);
+  Regs.set(Zero, 0);
+  Regs.set(B, -2);
+  EXPECT_EQ(Regs.str(), "{rf_s_b=-2, rf_s_a=1}");
+}
+
+TEST(RegFileTest, CopyIsIndependent) {
+  RegId R1("rf_c1"), R2("rf_c2");
+  RegFile Src;
+  Src.set(R1, 4);
+  RegFile Copy = Src;
+  Copy.set(R1, 0);
+  Copy.set(R2, 8);
+  EXPECT_EQ(Src.get(R1), 4);
+  EXPECT_EQ(Src.get(R2), 0);
+  EXPECT_EQ(Src.str(), "{rf_c1=4}");
+  EXPECT_EQ(Copy.str(), "{rf_c2=8}");
+}
+
 TEST(ExprTest, EvalConst) {
   EXPECT_EQ(add(cst(2), mul(cst(3), cst(4)))->evalConst().value(), 14);
   EXPECT_FALSE(reg(RegId("et_r"))->evalConst().has_value());

@@ -264,6 +264,46 @@ TEST(ThreadStepTest, CallAndReturn) {
   EXPECT_TRUE(None.empty());
 }
 
+TEST(ThreadStepTest, StepInPlaceDeclinesWithoutTouchingTheState) {
+  auto ExpectDeclines = [](StepEnv &S) {
+    ThreadState Before = S.TS;
+    ThreadEvent Ev;
+    EXPECT_FALSE(stepInPlace(S.P, 0, S.TS, S.M, Ev));
+    EXPECT_TRUE(S.TS == Before);
+  };
+  // Mode mismatch: the step aborts.
+  StepEnv Abort(R"(var x atomic; func f { block 0: r := x.na; ret; }
+                  thread f;)");
+  ExpectDeclines(Abort);
+  // Two visible messages: the read branches.
+  StepEnv Branch(R"(var x atomic; func f { block 0: r := x.rlx; ret; }
+                   thread f;)");
+  Branch.M.insert(Message::concrete(VarId("x"), 1, Time(1), Time(2), View{}));
+  ExpectDeclines(Branch);
+  // A store writes memory.
+  StepEnv Store(R"(var x; func f { block 0: x.na := 1; ret; } thread f;)");
+  ExpectDeclines(Store);
+  // A release fence waits for the thread's outstanding promise.
+  StepEnv Fence(R"(var x; func f { block 0: fence.rel; x.na := 1; ret; }
+                  thread f;)");
+  Message Prm = Message::concrete(VarId("x"), 1, Time(1), Time(2), View{});
+  Prm.Owner = 0;
+  Prm.IsPromise = true;
+  Fence.M.insert(Prm);
+  ExpectDeclines(Fence);
+  // Returning to a missing block aborts after the call pushed its frame;
+  // the failed return must not pop it.
+  StepEnv Ret(R"(func f { block 0: call g, 9; } func g { block 0: ret; }
+                thread f;)");
+  ThreadEvent Ev;
+  ASSERT_TRUE(stepInPlace(Ret.P, 0, Ret.TS, Ret.M, Ev)); // the call
+  ASSERT_EQ(Ret.TS.Local.callStack().size(), 1u);
+  ExpectDeclines(Ret);
+  std::vector<ThreadSuccessor> Succs = Ret.programSteps();
+  ASSERT_EQ(Succs.size(), 1u);
+  EXPECT_TRUE(Succs[0].Abort);
+}
+
 TEST(ThreadStepTest, PromiseStepsRespectBounds) {
   StepEnv S(R"(var x; func f { block 0: x.na := 1; ret; } thread f;)");
   PromiseDomain D = computePromiseDomain(S.P, FuncId("f"));
