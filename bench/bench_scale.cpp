@@ -11,8 +11,7 @@
 //
 // Per-run counters:
 //   nodes    — ExploreNodes expanded (items/sec is nodes/sec);
-//   pruned   — schedules pruned: sibling threads skipped at ample nodes
-//              plus successors dropped as observationally equal;
+//   pruned   — schedules pruned: sibling threads skipped at ample nodes;
 //   fused    — thread steps collapsed into fused chains;
 //   capped   — 1 when the unreduced run tripped MaxNodes (its `nodes` is
 //              then a lower bound, so the reduction factor is at least
@@ -99,12 +98,10 @@ void runScale(benchmark::State &State, const ScaleWorkloadConfig &WC,
   std::uint64_t Pruned = 0, Fused = 0;
   for (auto _ : State) {
     std::uint64_t Skips0 = detail::numReductionSleepSkips().value();
-    std::uint64_t Equiv0 = detail::numReductionEquivHits().value();
     std::uint64_t Fused0 = detail::numReductionFusedSteps().value();
     B = exploreInterleaving(P, SC, EC);
     benchmark::DoNotOptimize(B.NodesVisited);
-    Pruned = (detail::numReductionSleepSkips().value() - Skips0) +
-             (detail::numReductionEquivHits().value() - Equiv0);
+    Pruned = detail::numReductionSleepSkips().value() - Skips0;
     Fused = detail::numReductionFusedSteps().value() - Fused0;
   }
   if (Reduce && !B.Exhausted) {

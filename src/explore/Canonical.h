@@ -17,10 +17,10 @@
 ///    program is finite and memoizable.
 ///
 /// Canonical by construction: a successor whose memory equals that of its
-/// canonical parent is already canonical, so the explorer skips the
-/// renaming for it (one memory compare, by pointer for COW-shared lists).
-/// The renaming is a function of the set of timestamps the state mentions,
-/// and that set is fixed by the memory alone:
+/// canonical parent is already canonical, so canonicalizeSuccessor skips
+/// the renaming for it (one memory compare, by pointer for COW-shared
+/// lists). The renaming is a function of the set of timestamps the state
+/// mentions, and that set is fixed by the memory alone:
 ///
 ///  * every thread-view timestamp (V, Acq, Rel — and so every message
 ///    view, which is a thread-view snapshot) is 0 or the To of a concrete
@@ -31,11 +31,15 @@
 ///
 /// Hence equal memories give equal timestamp sets, and the parent's
 /// renaming — the identity, since the parent is canonical — is the
-/// child's too.
+/// child's too. Nothing here depends on which machine took the step or on
+/// whether the explorer reduces, so every search (explorer, race checker,
+/// witness search and replay) canonicalizes successors through the one
+/// helper and calls canonicalizeState directly only on root states.
 ///
 /// Property-tested in tests/explore/CanonicalTest.cpp: idempotence, order
 /// preservation, step-commutation on random programs, and the
-/// canonical-by-construction rule over every reachable reduced expansion.
+/// canonical-by-construction rule over every reachable reduced, unreduced
+/// and non-preemptive expansion.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -49,6 +53,15 @@ namespace psopt {
 /// Renames every timestamp in \p S (message intervals, message views,
 /// thread views) order-isomorphically onto consecutive integers.
 void canonicalizeState(MachineState &S);
+
+/// Canonicalizes \p Child, a successor of the canonical state \p Parent:
+/// a child that kept its parent's memory is already canonical (see above)
+/// and is left untouched.
+inline void canonicalizeSuccessor(MachineState &Child,
+                                  const MachineState &Parent) {
+  if (!(Child.Mem == Parent.Mem))
+    canonicalizeState(Child);
+}
 
 } // namespace psopt
 

@@ -44,10 +44,11 @@ struct alignas(64) PartialBehavior {
 } // namespace
 
 /// Expands one explore node: classifies it (done/blocked), enumerates its
-/// (possibly reduced) successors, records trace bookkeeping into \p Sink
-/// and feeds new children to \p Push. \p Red is null for unreduced
-/// exploration, which pushes children as they are built. \p OutBoundHit is
-/// set (never cleared) when the MaxOuts trace bound cuts a successor.
+/// successors, records trace bookkeeping into \p Sink and feeds every
+/// child to \p Push. \p Red is null for unreduced exploration; otherwise
+/// it may replace the successors by one fused successor and projects each
+/// child. Duplicate children are left to the visited table. \p OutBoundHit
+/// is set (never cleared) when the MaxOuts trace bound cuts a successor.
 template <typename PushT>
 static void expandExploreNode(const Machine &M, const Reducer *Red,
                               const ExploreNode &Cur, const ExploreConfig &C,
@@ -76,42 +77,6 @@ static void expandExploreNode(const Machine &M, const Reducer *Red,
     return;
   }
 
-  if (!Red) {
-    // Unreduced expansion: children go straight to the queue.
-    for (MachineSuccessor &S : Succs) {
-      ++NumExploreTransitions;
-      ++Sink.Transitions;
-      switch (S.Ev.K) {
-      case MachineEvent::Kind::Abort:
-        Sink.Abort.insert(Cur.Outs);
-        break;
-      case MachineEvent::Kind::Out: {
-        if (Cur.Outs.size() >= C.MaxOuts) {
-          OutBoundHit = true;
-          continue;
-        }
-        ExploreNode Child{std::move(S.State), Cur.Outs};
-        Child.Outs.push_back(S.Ev.OutVal);
-        canonicalizeState(Child.State);
-        Push(std::move(Child));
-        break;
-      }
-      case MachineEvent::Kind::Tau: {
-        ExploreNode Child{std::move(S.State), Cur.Outs};
-        canonicalizeState(Child.State);
-        Push(std::move(Child));
-        break;
-      }
-      }
-    }
-    return;
-  }
-
-  // Reduced expansion: buffer canonicalized children and drop siblings
-  // that collapse onto an already-admitted (state, trace) node.
-  ReducerScratch &Scr = Sink.Scratch;
-  Scr.Children.clear();
-  Scr.ChildHashes.clear();
   for (MachineSuccessor &S : Succs) {
     ++NumExploreTransitions;
     ++Sink.Transitions;
@@ -131,30 +96,11 @@ static void expandExploreNode(const Machine &M, const Reducer *Red,
     ExploreNode Child{std::move(S.State), Cur.Outs};
     if (S.Ev.K == MachineEvent::Kind::Out)
       Child.Outs.push_back(S.Ev.OutVal);
-    Red->project(Child.State);
-    // Canonical by construction (Canonical.h): a child that kept its
-    // canonical parent's memory needs no renaming.
-    if (!(Child.State.Mem == Cur.State.Mem))
-      canonicalizeState(Child.State);
-    std::size_t H = ExploreNodeHash{}(Child);
-    bool Duplicate = false;
-    for (std::size_t I = 0; I < Scr.Children.size(); ++I) {
-      if (Scr.ChildHashes[I] == H && Scr.Children[I] == Child) {
-        Duplicate = true;
-        break;
-      }
-    }
-    if (Duplicate) {
-      ++detail::numReductionEquivHits();
-      continue;
-    }
-    Scr.ChildHashes.push_back(H);
-    Scr.Children.push_back(std::move(Child));
-  }
-  for (ExploreNode &Child : Scr.Children)
+    if (Red)
+      Red->project(Child.State);
+    canonicalizeSuccessor(Child.State, Cur.State);
     Push(std::move(Child));
-  Scr.Children.clear();
-  Scr.ChildHashes.clear();
+  }
 }
 
 BehaviorSet explore(const Machine &M, const ExploreConfig &C) {

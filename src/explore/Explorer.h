@@ -50,9 +50,8 @@ struct ExploreConfig {
 
   /// Equivalence-class schedule reduction (explore/Reduction.h): fuse
   /// deterministic thread-local chains — guided by static footprint facts
-  /// (analysis/Footprint.h, DESIGN.md §13) — into single steps, collapse
-  /// terminated threads' unreadable state, and drop observationally
-  /// equal sibling successors. Behavior-preserving — the trace sets and
+  /// (analysis/Footprint.h, DESIGN.md §13) — into single steps and
+  /// collapse terminated threads' unreadable state. Behavior-preserving — the trace sets and
   /// Exhausted agree with unreduced exploration (BehaviorSet::
   /// sameBehaviors, swept in tests/explore/ReductionEquivalenceTest.cpp)
   /// — but NodesVisited/UniqueStates/Transitions shrink. Applies only to

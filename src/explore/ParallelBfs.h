@@ -69,7 +69,6 @@ public:
   struct Stats {
     std::uint64_t Expanded = 0; ///< unique nodes visited
     bool NodeBoundHit = false;  ///< MaxNodes tripped (search incomplete)
-    bool StoppedEarly = false;  ///< stop() was called from a visitor
   };
 
   ParallelBfs(unsigned Jobs, std::uint64_t MaxNodes)
@@ -85,10 +84,7 @@ public:
   /// nodes are drained but no further node is visited. The verdict of a
   /// stopped search is decided by the caller; the node bound is not
   /// considered hit.
-  void stop() {
-    StoppedEarly.store(true, std::memory_order_relaxed);
-    Stop.store(true, std::memory_order_relaxed);
-  }
+  void stop() { Stop.store(true, std::memory_order_relaxed); }
 
   /// Visits every node in the visited table. Only meaningful after run()
   /// returned (the pool has joined, so no locks are needed); the explorer
@@ -120,7 +116,6 @@ public:
     Stats S;
     S.Expanded = Claimed.load(std::memory_order_relaxed);
     S.NodeBoundHit = NodeBound.load(std::memory_order_relaxed);
-    S.StoppedEarly = StoppedEarly.load(std::memory_order_relaxed);
     return S;
   }
 
@@ -264,7 +259,6 @@ private:
   std::atomic<std::uint64_t> Claimed{0};
   std::atomic<bool> Stop{false};
   std::atomic<bool> NodeBound{false};
-  std::atomic<bool> StoppedEarly{false};
 };
 
 } // namespace psopt

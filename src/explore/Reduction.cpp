@@ -18,14 +18,11 @@ static Statistic NumFusedSteps("reduction", "fused_steps",
                                "thread steps collapsed into fused chains");
 static Statistic NumSleepSkips("reduction", "sleep_skips",
                                "sibling thread schedules pruned at ample nodes");
-static Statistic NumEquivHits("reduction", "equiv_hits",
-                              "successors dropped as observationally equal");
 
 namespace detail {
 Statistic &numReductionAmpleNodes() { return NumAmpleNodes; }
 Statistic &numReductionFusedSteps() { return NumFusedSteps; }
 Statistic &numReductionSleepSkips() { return NumSleepSkips; }
-Statistic &numReductionEquivHits() { return NumEquivHits; }
 } // namespace detail
 
 Reducer::Reducer(const Machine &M) : M(&M) {
@@ -41,7 +38,7 @@ Reducer::Reducer(const Machine &M) : M(&M) {
         Facts[T].OthersWrite.insert(Footprints[U].begin(),
                                     Footprints[U].end());
     if (M.config().EnablePromises)
-      Facts[T].OwnPromisable = computePromiseDomain(P, Threads[T]).Vars;
+      Facts[T].OwnPromisable = M.promiseDomain(static_cast<Tid>(T)).Vars;
   }
   FootprintAnalysis FA(P);
   for (std::size_t T = 0; T < Threads.size(); ++T)

@@ -7,14 +7,13 @@
 /// \file
 /// The explorer's reduction layer (ExploreConfig::Reduce, default on): an
 /// ample-set scheduler that collapses commuting interleavings to a single
-/// representative order, plus an observational-equivalence filter over
-/// successor states. Selection is a pure function of the state, so the
-/// reduced graph — and with it every BehaviorSet counter — is identical at
-/// every worker count. Soundness argument in DESIGN.md §10 and §13; the
-/// reduced == unreduced behavior sweep lives in
-/// tests/explore/ReductionEquivalenceTest.
+/// representative order, plus a projection of terminated threads' state.
+/// Selection is a pure function of the state, so the reduced graph — and
+/// with it every BehaviorSet counter — is identical at every worker count.
+/// Soundness argument in DESIGN.md §10 and §13; the reduced == unreduced
+/// behavior sweep lives in tests/explore/ReductionEquivalenceTest.
 ///
-/// Three cooperating mechanisms:
+/// Two cooperating mechanisms:
 ///
 ///  1. Fused thread-local chains (the ample set). At a state where some
 ///     promise-free thread T's next step is its *unique*, non-aborting,
@@ -22,8 +21,9 @@
 ///     location no other thread can write, or, by the static footprint
 ///     facts of DESIGN.md §13, a store/CAS to a location no peer touches
 ///     or a fusible fence), only T is scheduled, and T's whole maximal
-///     deterministic chain of such steps is fused into one machine step. Selection is a pure function of the state (never of
-///     the visited set), so the reduction composes with parallel search.
+///     deterministic chain of such steps is fused into one machine step.
+///     Selection is a pure function of the state (never of the visited
+///     set), so the reduction composes with parallel search.
 ///     A chain that revisits a local state (a register-pure spin) is
 ///     rejected — that thread can idle forever, so other threads' steps
 ///     are not postponable past it (the classic ignoring problem; this
@@ -36,18 +36,11 @@
 ///     LocalState::collapseTerminated), merging states that differ only
 ///     in how a finished thread got there.
 ///
-///  3. Sibling observational-equivalence filter. Distinct transitions out
-///     of one node frequently land on the same canonical (state, trace)
-///     node (e.g. two placements renamed alike); duplicates are dropped
-///     before they reach the work queue instead of at the global visited
-///     table, trimming queue pressure and cross-worker churn.
-///
 //===----------------------------------------------------------------------===//
 
 #ifndef PSOPT_EXPLORE_REDUCTION_H
 #define PSOPT_EXPLORE_REDUCTION_H
 
-#include "explore/ExploreNode.h"
 #include "ps/Machine.h"
 #include "support/Statistic.h"
 
@@ -57,12 +50,10 @@ namespace psopt {
 
 namespace detail {
 /// The reduction.* counters (defined in Reduction.cpp): fused chains,
-/// steps collapsed inside them, sibling threads skipped at ample nodes,
-/// and successors dropped by the observational-equivalence filter.
+/// steps collapsed inside them, and sibling threads skipped at ample nodes.
 Statistic &numReductionAmpleNodes();
 Statistic &numReductionFusedSteps();
 Statistic &numReductionSleepSkips();
-Statistic &numReductionEquivHits();
 } // namespace detail
 
 /// Per-worker scratch buffers for the reduction layer; reused across node
@@ -71,8 +62,6 @@ struct ReducerScratch {
   std::vector<ThreadSuccessor> Steps;   ///< store/CAS enumeration buffer
   ThreadState Chain;                    ///< the thread walked along a chain
   std::vector<std::size_t> ChainLocals; ///< local-state hashes along a chain
-  std::vector<ExploreNode> Children;    ///< buffered siblings for the OE filter
-  std::vector<std::size_t> ChildHashes; ///< their node hashes (prefilter)
 };
 
 /// One exploration's reduction context: static per-thread facts (write

@@ -6,7 +6,7 @@
 
 #include "explore/Witness.h"
 #include "explore/Canonical.h"
-#include "support/Hashing.h"
+#include "explore/ExploreNode.h"
 
 #include <algorithm>
 #include <deque>
@@ -24,29 +24,23 @@ std::string Witness::str() const {
 
 namespace {
 
+/// An explore node plus the parent link the reconstruction follows.
 struct SearchNode {
-  MachineState State;
-  Trace Outs;
-  // Parent link for reconstruction.
+  ExploreNode Node;
   std::int64_t Parent = -1;
   WitnessStep Step;
+};
 
-  bool operator==(const SearchNode &O) const {
-    return Outs == O.Outs && State == O.State;
+/// The visited set holds pointers into the arena, compared as the explore
+/// nodes they point to.
+struct NodeRefHash {
+  std::size_t operator()(const ExploreNode *N) const {
+    return ExploreNodeHash{}(*N);
   }
 };
 
-struct KeyHash {
-  std::size_t operator()(const SearchNode *N) const {
-    std::size_t Seed = N->State.hash();
-    for (Val V : N->Outs)
-      hashCombineValue(Seed, V);
-    return hashFinalize(Seed);
-  }
-};
-
-struct KeyEq {
-  bool operator()(const SearchNode *A, const SearchNode *B) const {
+struct NodeRefEq {
+  bool operator()(const ExploreNode *A, const ExploreNode *B) const {
     return *A == *B;
   }
 };
@@ -61,12 +55,12 @@ std::optional<Witness> findWitness(const Machine &M, const Trace &Outs,
 
   // Arena of nodes; the visited set stores pointers into it.
   std::deque<SearchNode> Arena;
-  std::unordered_set<const SearchNode *, KeyHash, KeyEq> Visited;
+  std::unordered_set<const ExploreNode *, NodeRefHash, NodeRefEq> Visited;
   std::deque<std::int64_t> Work;
 
   auto Reconstruct = [&](std::int64_t Idx, Behavior::End End) {
     Witness W;
-    W.Observed.Outs = Arena[Idx].Outs;
+    W.Observed.Outs = Arena[Idx].Node.Outs;
     W.Observed.Ending = End;
     std::vector<WitnessStep> Rev;
     for (std::int64_t I = Idx; Arena[I].Parent >= 0; I = Arena[I].Parent)
@@ -76,8 +70,8 @@ std::optional<Witness> findWitness(const Machine &M, const Trace &Outs,
   };
 
   SearchNode Start;
-  Start.State = *M.initial();
-  canonicalizeState(Start.State);
+  Start.Node.State = *M.initial();
+  canonicalizeState(Start.Node.State);
   Arena.push_back(std::move(Start));
   Work.push_back(0);
 
@@ -85,32 +79,29 @@ std::optional<Witness> findWitness(const Machine &M, const Trace &Outs,
   while (!Work.empty()) {
     std::int64_t Idx = Work.front();
     Work.pop_front();
-    if (!Visited.insert(&Arena[Idx]).second)
+    if (!Visited.insert(&Arena[Idx].Node).second)
       continue;
     if (Visited.size() > C.MaxNodes)
       return std::nullopt;
 
-    // Copy what we need: Arena grows below and may not be referenced
-    // across push_back (deque pointers are stable, but play it safe with
-    // the fields we read).
-    const Trace NodeOuts = Arena[Idx].Outs;
+    // The arena grows below; deque references survive push_back.
+    const ExploreNode &Cur = Arena[Idx].Node;
 
-    if (Ending == Behavior::End::Partial && NodeOuts == Outs)
+    if (Ending == Behavior::End::Partial && Cur.Outs == Outs)
       return Reconstruct(Idx, Behavior::End::Partial);
-    if (Ending == Behavior::End::Done && Arena[Idx].State.allTerminated() &&
-        NodeOuts == Outs)
+    if (Ending == Behavior::End::Done && Cur.State.allTerminated() &&
+        Cur.Outs == Outs)
       return Reconstruct(Idx, Behavior::End::Done);
-    if (Arena[Idx].State.allTerminated())
+    if (Cur.State.allTerminated())
       continue;
 
-    M.successors(Arena[Idx].State, Succs);
+    M.successors(Cur.State, Succs);
     for (MachineSuccessor &S : Succs) {
       if (S.Ev.K == MachineEvent::Kind::Abort) {
-        if (Ending == Behavior::End::Abort && NodeOuts == Outs) {
+        if (Ending == Behavior::End::Abort && Cur.Outs == Outs) {
           // Append the aborting step itself.
           SearchNode N;
-          N.State = Arena[Idx].State;
-          N.Outs = NodeOuts;
+          N.Node = Cur;
           N.Parent = Idx;
           N.Step = WitnessStep{S.Ev.Thread, S.Ev.ThreadEv};
           Arena.push_back(std::move(N));
@@ -120,14 +111,14 @@ std::optional<Witness> findWitness(const Machine &M, const Trace &Outs,
         continue;
       }
       SearchNode N;
-      N.State = std::move(S.State);
-      canonicalizeState(N.State);
-      N.Outs = NodeOuts;
+      N.Node.State = std::move(S.State);
+      canonicalizeSuccessor(N.Node.State, Cur.State);
+      N.Node.Outs = Cur.Outs;
       if (S.Ev.K == MachineEvent::Kind::Out) {
-        if (NodeOuts.size() >= Outs.size() ||
-            Outs[NodeOuts.size()] != S.Ev.OutVal)
+        if (Cur.Outs.size() >= Outs.size() ||
+            Outs[Cur.Outs.size()] != S.Ev.OutVal)
           continue; // Only follow the requested trace.
-        N.Outs.push_back(S.Ev.OutVal);
+        N.Node.Outs.push_back(S.Ev.OutVal);
       }
       N.Parent = Idx;
       N.Step = WitnessStep{S.Ev.Thread, S.Ev.ThreadEv};
@@ -168,7 +159,7 @@ ReplayResult replayWitness(const Machine &M, const Witness &W) {
           Aborted = true;
           continue;
         }
-        canonicalizeState(Succ.State);
+        canonicalizeSuccessor(Succ.State, S);
         if (std::find(Next.begin(), Next.end(), Succ.State) == Next.end())
           Next.push_back(std::move(Succ.State));
       }

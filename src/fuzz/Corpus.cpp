@@ -156,7 +156,8 @@ std::vector<std::string> listCorpusFiles(const std::string &Dir) {
   return Files;
 }
 
-ReplayVerdict replayCorpusEntry(const CorpusEntry &E, const ReplayConfig &C) {
+ReplayVerdict replayCorpusEntry(const CorpusEntry &E, const ExploreConfig &C,
+                                bool CertCache) {
   ReplayVerdict V;
 
   Program Tgt = E.Prog;
@@ -175,14 +176,10 @@ ReplayVerdict replayCorpusEntry(const CorpusEntry &E, const ReplayConfig &C) {
 
   StepConfig SC;
   SC.EnablePromises = E.Promises;
-  SC.EnableCertCache = C.CertCache;
-  ExploreConfig EC;
-  EC.Jobs = C.Jobs;
-  EC.Reduce = C.Reduce;
-  EC.MaxNodes = C.MaxNodes;
+  SC.EnableCertCache = CertCache;
 
-  BehaviorSet SrcB = exploreInterleaving(E.Prog, SC, EC);
-  BehaviorSet TgtB = exploreInterleaving(Tgt, SC, EC);
+  BehaviorSet SrcB = exploreInterleaving(E.Prog, SC, C);
+  BehaviorSet TgtB = exploreInterleaving(Tgt, SC, C);
   if (!SrcB.Exhausted || !TgtB.Exhausted) {
     V.Detail = "exploration bound tripped; verdict not exact";
     return V;

@@ -72,15 +72,6 @@ bool storeCorpusEntry(const CorpusEntry &E, const std::string &Path);
 /// directory does not exist.
 std::vector<std::string> listCorpusFiles(const std::string &Dir);
 
-/// Engine configuration for a replay; the replay matrix in the tests runs
-/// every combination of Jobs x CertCache x Reduce.
-struct ReplayConfig {
-  unsigned Jobs = 1;
-  bool CertCache = true;
-  bool Reduce = true;
-  std::uint64_t MaxNodes = 2'000'000;
-};
-
 /// Outcome of replaying one entry.
 struct ReplayVerdict {
   bool Match = false;           ///< observed verdict equals the recorded one
@@ -91,11 +82,13 @@ struct ReplayVerdict {
 };
 
 /// Re-runs the pipeline on the entry's program and checks refinement with
-/// the explorer, under \p C's engine configuration. Match is true when the
-/// verdict equals the recorded expectation; unknown pass names, validation
-/// failures and exploration bound trips all yield Match = false.
+/// the explorer under \p C, with the certification cache on or off per
+/// \p CertCache (the entry fixes whether promises are on). Match is true
+/// when the verdict equals the recorded expectation; unknown pass names,
+/// validation failures and exploration bound trips all yield Match = false.
 ReplayVerdict replayCorpusEntry(const CorpusEntry &E,
-                                const ReplayConfig &C = {});
+                                const ExploreConfig &C = {},
+                                bool CertCache = true);
 
 } // namespace psopt
 

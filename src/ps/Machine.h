@@ -94,6 +94,9 @@ public:
   const Program &program() const { return *P; }
   const StepConfig &config() const { return Cfg; }
 
+  /// Thread \p T's promise domain, computed once at construction.
+  const PromiseDomain &promiseDomain(Tid T) const { return Domains[T]; }
+
   /// The machine's certification cache; null when disabled
   /// (StepConfig::EnableCertCache). Shared by all explorer workers.
   CertCache *certCache() const { return Cert.get(); }

@@ -85,7 +85,7 @@ checkRaceFreedom(const Machine &M, const RaceCheckConfig &C,
     for (MachineSuccessor &MS : Succs) {
       if (MS.Ev.K == MachineEvent::Kind::Abort)
         continue;
-      canonicalizeState(MS.State);
+      canonicalizeSuccessor(MS.State, S);
       Push(std::move(MS.State));
     }
   };

@@ -7,6 +7,7 @@
 #include "explore/Canonical.h"
 #include "explore/Reduction.h"
 #include "lang/Parser.h"
+#include "nps/NPMachine.h"
 #include "support/ReachableStates.h"
 
 #include <gtest/gtest.h>
@@ -104,26 +105,52 @@ TEST(CanonicalTest, MessageViewsAreRenamed) {
   EXPECT_EQ(XMsg.MsgView.rlxAt(Z), ZMsg.To);
 }
 
-/// Checks the canonical-by-construction rule (Canonical.h) for one
-/// successor of canonical \p Parent: once projected, a child that kept the
-/// parent's memory is a fixed point of canonicalizeState. Returns whether
-/// the rule applied.
-bool checkChild(const Reducer &R, const MachineState &Parent,
-                MachineState &Child) {
-  R.project(Child);
-  if (!(Child.Mem == Parent.Mem))
-    return false;
-  MachineState Renamed = Child;
-  canonicalizeState(Renamed);
-  EXPECT_EQ(Renamed.str(), Child.str());
-  EXPECT_EQ(Renamed.hash(), Child.hash());
-  return true;
+/// Checks the canonical-by-construction rule (Canonical.h) and tallies
+/// how often it applied.
+struct RuleCount {
+  std::size_t Applied = 0, Children = 0;
+
+  /// \p Child is a successor of canonical \p Parent, projected first when
+  /// the explorer would project it: if it kept the parent's memory, it
+  /// must be a fixed point of canonicalizeState.
+  void check(const MachineState &Parent, const MachineState &Child) {
+    ++Children;
+    if (!(Child.Mem == Parent.Mem))
+      return;
+    ++Applied;
+    MachineState Renamed = Child;
+    canonicalizeState(Renamed);
+    EXPECT_EQ(Renamed.str(), Child.str());
+    EXPECT_EQ(Renamed.hash(), Child.hash());
+  }
+};
+
+/// Walks \p M's unreduced graph (no projection: terminated threads keep
+/// their views) and checks the rule on every successor.
+void checkUnreducedChildren(const Machine &M, RuleCount &Count) {
+  if (!M.initial())
+    return;
+  MachineState Start = *M.initial();
+  canonicalizeState(Start);
+  std::vector<MachineSuccessor> Succs;
+  forEachReachableState(
+      Start, 2000, [&](const MachineState &S, std::vector<MachineState> &Next) {
+        M.successors(S, Succs);
+        for (MachineSuccessor &Succ : Succs) {
+          if (Succ.Ev.K == MachineEvent::Kind::Abort)
+            continue;
+          Count.check(S, Succ.State);
+          canonicalizeState(Succ.State);
+          Next.push_back(std::move(Succ.State));
+        }
+      });
 }
 
 TEST(CanonicalTest, ChildrenKeepingParentMemoryAreCanonical) {
   // Walk the reduced graph of every program in the step-property set; at
-  // each state check every fused and every unreduced successor.
-  std::size_t Applied = 0, Children = 0;
+  // each state check every fused and every unreduced successor. Then walk
+  // the unreduced graphs of both machines.
+  RuleCount Count, Interleaving, NonPreemptive;
   for (const NamedProgram &NP : stepPropertyPrograms()) {
     SCOPED_TRACE(NP.Name);
     InterleavingMachine M(NP.Prog, NP.Config);
@@ -141,15 +168,15 @@ TEST(CanonicalTest, ChildrenKeepingParentMemoryAreCanonical) {
         [&](const MachineState &S, std::vector<MachineState> &Next) {
           bool HasFused = R.selectFused(S, Scr, Fused);
           if (HasFused) {
-            ++Children;
-            Applied += checkChild(R, S, Fused.State);
+            R.project(Fused.State);
+            Count.check(S, Fused.State);
           }
           M.successors(S, Succs);
           for (MachineSuccessor &Succ : Succs) {
             if (Succ.Ev.K == MachineEvent::Kind::Abort)
               continue;
-            ++Children;
-            Applied += checkChild(R, S, Succ.State);
+            R.project(Succ.State);
+            Count.check(S, Succ.State);
             canonicalizeState(Succ.State);
             if (!HasFused)
               Next.push_back(std::move(Succ.State));
@@ -159,9 +186,17 @@ TEST(CanonicalTest, ChildrenKeepingParentMemoryAreCanonical) {
             Next.push_back(std::move(Fused.State));
           }
         });
+    // The rule is machine- and reduction-independent: the explorer at
+    // --reduce=off, the race checker and the witness search rely on it
+    // over both machines' unreduced successor relations.
+    checkUnreducedChildren(M, Interleaving);
+    checkUnreducedChildren(NonPreemptiveMachine(NP.Prog, NP.Config),
+                           NonPreemptive);
   }
   // Most steps read or compute; the rule must cover a real share of them.
-  EXPECT_GT(Applied, Children / 4);
+  EXPECT_GT(Count.Applied, Count.Children / 4);
+  EXPECT_GT(Interleaving.Applied, Interleaving.Children / 4);
+  EXPECT_GT(NonPreemptive.Applied, NonPreemptive.Children / 4);
 }
 
 } // namespace

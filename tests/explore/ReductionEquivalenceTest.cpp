@@ -78,9 +78,9 @@ TEST(ReductionEquivalenceTest, CorpusReproducers) {
     expectReductionSound(E->Prog, SC);
     // The recorded refinement verdict replays identically without the
     // reduction.
-    ReplayConfig RC;
-    RC.Reduce = false;
-    EXPECT_TRUE(replayCorpusEntry(*E, RC).Match) << "reduce=off replay";
+    ExploreConfig EC;
+    EC.Reduce = false;
+    EXPECT_TRUE(replayCorpusEntry(*E, EC).Match) << "reduce=off replay";
   }
 }
 

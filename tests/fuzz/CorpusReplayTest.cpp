@@ -36,10 +36,9 @@ TEST_P(CorpusReplayTest, VerdictStableAcrossEngines) {
 
   for (unsigned Jobs : {1u, 8u})
     for (bool Cache : {true, false}) {
-      ReplayConfig C;
+      ExploreConfig C;
       C.Jobs = Jobs;
-      C.CertCache = Cache;
-      ReplayVerdict V = replayCorpusEntry(*E, C);
+      ReplayVerdict V = replayCorpusEntry(*E, C, Cache);
       EXPECT_TRUE(V.Match)
           << E->Name << " (jobs=" << Jobs << " cert-cache=" << Cache
           << "): expected refinement to "

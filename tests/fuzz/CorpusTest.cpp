@@ -103,7 +103,7 @@ TEST(CorpusTest, StoreLoadListRoundTrip) {
 }
 
 TEST(CorpusTest, ReplayMatchesExpectations) {
-  ReplayConfig C;
+  ExploreConfig C;
 
   // Fig 15 + unsafe DCE: refinement must fail, which *matches* the entry.
   CorpusEntry Bad = fig15Entry();

@@ -72,7 +72,7 @@ TEST(FuzzerTest, UnsafeDcePipelineYieldsAShrunkReproducer) {
   std::optional<CorpusEntry> E = loadCorpusEntry(F.ReproPath, Err);
   ASSERT_TRUE(E.has_value()) << Err;
   EXPECT_EQ(E->Seed, 11u);
-  ReplayVerdict V = replayCorpusEntry(*E, ReplayConfig{});
+  ReplayVerdict V = replayCorpusEntry(*E);
   EXPECT_TRUE(V.Match) << V.Detail;
   EXPECT_FALSE(V.RefinementHolds);
 }

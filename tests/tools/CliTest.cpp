@@ -182,6 +182,28 @@ TEST(CliTest, WitnessReconstructsExecution) {
   EXPECT_NE(R2.Output.find("no execution"), std::string::npos);
 }
 
+TEST(CliTest, WitnessRejectsMalformedTrace) {
+  std::string P = writeTemp("cli_wit_bad.psopt", MpProgram);
+  for (const char *Bad : {"abc", "1,,2", "1,", "99999999999999999999",
+                          "2147483648", "-2147483649", "4x"}) {
+    SCOPED_TRACE(Bad);
+    CliResult R = runCli("witness " + P + " --trace=" + Bad);
+    EXPECT_EQ(R.ExitCode, 2);
+    EXPECT_NE(R.Output.find("invalid value for --trace="), std::string::npos);
+  }
+  // Negative values are well-formed: the consumer prints -1 when it
+  // misses the flag.
+  CliResult R = runCli("witness " + P + " --trace=-1 --end=done");
+  EXPECT_EQ(R.ExitCode, 0);
+  EXPECT_NE(R.Output.find("out(-1)"), std::string::npos);
+  // The decimal parser behind --trace= rejects overflow for the other
+  // numeric flags too, instead of wrapping.
+  CliResult Big = runCli("witness " + P + " --max-nodes=18446744073709551616");
+  EXPECT_EQ(Big.ExitCode, 2);
+  EXPECT_NE(Big.Output.find("invalid value for --max-nodes="),
+            std::string::npos);
+}
+
 TEST(CliTest, LitmusRegistry) {
   CliResult List = runCli("litmus");
   EXPECT_EQ(List.ExitCode, 0);

@@ -59,6 +59,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -84,7 +85,7 @@ struct Options {
   bool MaxNodesSet = false;
   unsigned Jobs = 1;
   std::string Passes;
-  std::string TraceSpec;
+  Trace TraceOuts; ///< --trace=v1,v2,...
   std::string End = "done";
   std::string Format = "text";
 
@@ -106,9 +107,35 @@ bool parseU64(const std::string &S, std::uint64_t &Out) {
   for (char C : S) {
     if (C < '0' || C > '9')
       return false;
-    V = V * 10 + static_cast<std::uint64_t>(C - '0');
+    auto D = static_cast<std::uint64_t>(C - '0');
+    if (V > (std::numeric_limits<std::uint64_t>::max() - D) / 10)
+      return false; // overflow
+    V = V * 10 + D;
   }
   Out = V;
+  return true;
+}
+
+/// Parses a comma-separated list of values, each an optionally negative
+/// decimal within Val's range. The empty string is the empty trace.
+bool parseTrace(const std::string &S, Trace &Out) {
+  Out.clear();
+  if (S.empty())
+    return true;
+  // The extra comma makes getline yield the last item even when it is
+  // empty, so "1," and "1,,2" are rejected like any other empty item.
+  std::stringstream SS(S + ",");
+  std::string Tok;
+  while (std::getline(SS, Tok, ',')) {
+    bool Neg = !Tok.empty() && Tok[0] == '-';
+    std::uint64_t Mag = 0;
+    if (!parseU64(Tok.substr(Neg ? 1 : 0), Mag) ||
+        Mag > static_cast<std::uint64_t>(std::numeric_limits<Val>::max()) +
+                  (Neg ? 1 : 0))
+      return false;
+    auto V = static_cast<std::int64_t>(Mag);
+    Out.push_back(static_cast<Val>(Neg ? -V : V));
+  }
   return true;
 }
 
@@ -243,8 +270,7 @@ const FlagSpec FlagTable[] = {
      }},
     {Flag::Trace, "--trace=",
      [](Options &O, const std::string &V) {
-       O.TraceSpec = V;
-       return true;
+       return parseTrace(V, O.TraceOuts);
      }},
     {Flag::End, "--end=",
      [](Options &O, const std::string &V) {
@@ -634,13 +660,6 @@ int cmdWitness(const Options &O) {
   Program P;
   if (O.Positional.empty() || !loadProgram(O.Positional[0], P))
     return 2;
-  Trace Outs;
-  if (!O.TraceSpec.empty()) {
-    std::stringstream SS(O.TraceSpec);
-    std::string Tok;
-    while (std::getline(SS, Tok, ','))
-      Outs.push_back(static_cast<Val>(std::stol(Tok)));
-  }
   Behavior::End End = Behavior::End::Done;
   if (O.End == "abort")
     End = Behavior::End::Abort;
@@ -652,10 +671,10 @@ int cmdWitness(const Options &O) {
   std::optional<Witness> W;
   if (O.NonPreemptive) {
     NonPreemptiveMachine M(P, SC);
-    W = findWitness(M, Outs, End, EC);
+    W = findWitness(M, O.TraceOuts, End, EC);
   } else {
     InterleavingMachine M(P, SC);
-    W = findWitness(M, Outs, End, EC);
+    W = findWitness(M, O.TraceOuts, End, EC);
   }
   if (!W) {
     std::printf("no execution with that behavior\n");
@@ -706,11 +725,7 @@ int cmdFuzzReplay(const Options &O) {
     std::fprintf(stderr, "no .rtl reproducers in %s\n", O.ReplayDir.c_str());
     return 2;
   }
-  ReplayConfig RC;
-  RC.Jobs = O.Jobs;
-  RC.CertCache = O.CertCacheOn;
-  RC.Reduce = O.ReduceOn;
-  RC.MaxNodes = O.MaxNodes;
+  ExploreConfig EC = exploreConfig(O);
   unsigned Bad = 0;
   for (const std::string &File : Files) {
     std::string Err;
@@ -720,7 +735,7 @@ int cmdFuzzReplay(const Options &O) {
       ++Bad;
       continue;
     }
-    ReplayVerdict V = replayCorpusEntry(*E, RC);
+    ReplayVerdict V = replayCorpusEntry(*E, EC, O.CertCacheOn);
     std::printf("%-28s seed=%llu pipeline=%s expect=%s: %s — %s\n",
                 E->Name.c_str(), static_cast<unsigned long long>(E->Seed),
                 joinNames(E->Pipeline).c_str(),
