@@ -68,7 +68,7 @@ struct BehaviorSet {
 
   // Exploration statistics (for the benches).
   std::uint64_t NodesVisited = 0;   ///< (state, trace) pairs expanded
-  std::uint64_t UniqueStates = 0;   ///< distinct canonical machine states
+  std::uint64_t UniqueStates = 0;   ///< distinct canonical states expanded
   std::uint64_t Transitions = 0;    ///< machine steps taken
 
   /// True if the exact trace \p T ending in done was observed.

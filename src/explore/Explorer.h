@@ -10,22 +10,30 @@
 /// (interleaving or non-preemptive) and collects its BehaviorSet.
 ///
 /// Nodes are (state, trace) pairs — traces matter because behaviors are
-/// path-dependent — memoized globally, so each pair is expanded once. For
-/// a finite-control program with bounded promises the graph is finite
-/// thanks to timestamp canonicalization; spinning loops revisit canonical
-/// states and terminate the search. The bounds below are safety nets whose
-/// violation flips BehaviorSet::Exhausted to false.
+/// path-dependent — memoized globally, so each pair is visited once. Both
+/// halves are interned per explore() call: canonical states in a state
+/// table, traces in a hash-consed trie (explore/TraceTrie.h), so a node is
+/// two ids. Everything an expansion computes except the trace bookkeeping
+/// (successors, the reducer's fused chain, projection, canonicalization)
+/// depends on the state alone, so it is computed once per state, the
+/// first time any node reaches it, and every later node with that state
+/// only follows the stored edges under its own trace. For a finite-control
+/// program with bounded promises the graph is finite thanks to timestamp
+/// canonicalization; spinning loops revisit canonical states and
+/// terminate the search. The bounds below are safety nets whose violation
+/// flips BehaviorSet::Exhausted to false.
 ///
 /// Exploration is embarrassingly order-independent: because the visited
 /// set deduplicates exactly and BehaviorSet stores ordered sets, any
 /// schedule of node expansions that covers the reachable graph yields the
 /// same BehaviorSet. The one search engine, a ParallelBfs worker pool
-/// (explore/ParallelBfs.h), exploits this: each worker accumulates a
-/// private partial BehaviorSet and the partials are merged once the pool
-/// joins. With ExploreConfig::Jobs == 1 the pool runs on the calling
-/// thread and spawns nothing. When a bound trips, Exhausted is false at
-/// every worker count and the sets are (possibly different) under-
-/// approximations; NodesVisited is still exactly MaxNodes. See DESIGN.md §7.
+/// (explore/ParallelBfs.h), exploits this: each worker accumulates private
+/// sets of trace ids, which are materialized into the BehaviorSet once
+/// the pool joins. With ExploreConfig::Jobs == 1 the pool runs on the
+/// calling thread and spawns nothing. When a bound trips, Exhausted is
+/// false at every worker count and the sets are (possibly different)
+/// under-approximations; NodesVisited is still exactly MaxNodes. See
+/// DESIGN.md §7.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -39,8 +47,8 @@ namespace psopt {
 
 /// Exploration bounds and parallelism.
 struct ExploreConfig {
-  std::uint64_t MaxNodes = 2'000'000; ///< (state, trace) pairs expanded
-  unsigned MaxOuts = 32;              ///< outputs per trace
+  std::uint64_t MaxNodes = 2'000'000; ///< (state, trace) pairs visited
+  unsigned MaxOuts = 32;              ///< outputs per trace (per node)
 
   /// Worker threads expanding the frontier; 1 runs the search on the
   /// calling thread. Every worker count produces an identical BehaviorSet

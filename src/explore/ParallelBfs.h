@@ -7,10 +7,11 @@
 /// \file
 /// The one state-space search engine: a worker pool expands nodes from
 /// per-worker deques with stealing, deduplicating through a sharded,
-/// striped-lock visited table. Both the explorer (nodes are (state, trace)
-/// pairs) and the race checker (nodes are bare machine states) instantiate
-/// it. With one worker the search runs on the calling thread, spawns
-/// nothing, and keeps a single unsharded visited table.
+/// striped-lock visited table (explore/Sharded.h). Both the explorer
+/// (nodes are (state entry, trace entry) id pairs) and the race checker
+/// (nodes are bare machine states) instantiate it. With one worker the
+/// search runs on the calling thread, spawns nothing, and keeps a single
+/// unsharded visited table.
 ///
 /// Guarantees:
 ///  * each unique node (under HashT/operator==) is visited exactly once;
@@ -19,15 +20,12 @@
 ///    queues without expanding;
 ///  * the visit count is deterministic: min(|reachable graph|, MaxNodes).
 ///
-/// Shard selection uses the *high* bits of the node hash; unordered_set
-/// buckets use the low bits, so striping does not correlate with bucket
-/// placement inside a shard.
-///
 //===----------------------------------------------------------------------===//
 
 #ifndef PSOPT_EXPLORE_PARALLELBFS_H
 #define PSOPT_EXPLORE_PARALLELBFS_H
 
+#include "explore/Sharded.h"
 #include "support/Statistic.h"
 #include "support/Trace.h"
 
@@ -50,20 +48,6 @@ Statistic &numBfsSteals();
 Statistic &numBfsIdleWaits();
 } // namespace detail
 
-/// Number of visited-table shards for a given worker count: enough stripes
-/// that workers rarely collide, bounded so empty shards stay cheap. One
-/// worker never collides, so it gets one table (many small tables that
-/// each grow separately slow small searches down).
-inline unsigned parallelBfsShardCount(unsigned Jobs) {
-  if (Jobs <= 1)
-    return 1;
-  unsigned Want = Jobs * 4;
-  unsigned Shards = 16;
-  while (Shards < Want && Shards < 256)
-    Shards *= 2;
-  return Shards;
-}
-
 template <typename NodeT, typename HashT> class ParallelBfs {
 public:
   struct Stats {
@@ -73,10 +57,7 @@ public:
 
   ParallelBfs(unsigned Jobs, std::uint64_t MaxNodes)
       : Jobs(Jobs < 1 ? 1 : Jobs), MaxNodes(MaxNodes),
-        Shards(parallelBfsShardCount(this->Jobs)), Queues(this->Jobs) {
-    for (unsigned N = 1; N < Shards.size(); N *= 2)
-      ++ShardBits;
-  }
+        Shards(this->Jobs), Queues(this->Jobs) {}
 
   unsigned jobs() const { return Jobs; }
 
@@ -85,16 +66,6 @@ public:
   /// stopped search is decided by the caller; the node bound is not
   /// considered hit.
   void stop() { Stop.store(true, std::memory_order_relaxed); }
-
-  /// Visits every node in the visited table. Only meaningful after run()
-  /// returned (the pool has joined, so no locks are needed); the explorer
-  /// folds its UniqueStates accounting out of the table here instead of
-  /// paying a sharded-set probe per node during the search.
-  template <typename FnT> void forEachVisited(FnT &&Fn) const {
-    for (const VisitedShard &S : Shards)
-      for (const NodeT &N : S.Set)
-        Fn(N);
-  }
 
   /// Runs the search from \p Root. \p Visit is invoked exactly once per
   /// unique node, concurrently from up to Jobs workers, as
@@ -223,12 +194,7 @@ private:
   void expand(unsigned W, NodeT &&N, VisitT &Visit, PushT &Push) {
     if (Stop.load(std::memory_order_relaxed))
       return; // draining after a bound trip or stop(): don't expand
-    // A single shard is taken without hashing; shifting by the full hash
-    // width would be undefined anyway.
-    VisitedShard &S =
-        ShardBits
-            ? Shards[HashT{}(N) >> (8 * sizeof(std::size_t) - ShardBits)]
-            : Shards[0];
+    VisitedShard &S = Shards.forHash(HashT{}(N));
     const NodeT *Ref;
     {
       std::lock_guard<std::mutex> Lock(S.M);
@@ -252,8 +218,7 @@ private:
 
   const unsigned Jobs;
   const std::uint64_t MaxNodes;
-  unsigned ShardBits = 0; ///< log2 of the shard count
-  std::vector<VisitedShard> Shards;
+  Sharded<VisitedShard> Shards;
   std::vector<WorkQueue> Queues;
   std::atomic<std::uint64_t> Pending{0};
   std::atomic<std::uint64_t> Claimed{0};

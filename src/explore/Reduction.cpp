@@ -83,8 +83,8 @@ bool Reducer::fusibleFence(Tid T, FenceMode FM) const {
   return Facts[T].OwnPromisable.empty();
 }
 
-bool Reducer::selectFused(const MachineState &S, ReducerScratch &Scr,
-                          MachineSuccessor &Out) const {
+FusedChain Reducer::selectFused(const MachineState &S, ReducerScratch &Scr,
+                                MachineSuccessor &Out) const {
   const Program &P = M->program();
   const Tid NumThreads = static_cast<Tid>(S.Threads.size());
   for (Tid T = 0; T < NumThreads; ++T) {
@@ -186,16 +186,13 @@ bool Reducer::selectFused(const MachineState &S, ReducerScratch &Scr,
     Out.Ev.Thread = T;
     Out.Ev.ThreadEv = ThreadEvent::tau();
 
-    ++NumAmpleNodes;
-    NumFusedSteps += Len;
     unsigned Live = 0;
     for (const ThreadState &TS : S.Threads)
       if (!TS.Local.isTerminated())
         ++Live;
-    NumSleepSkips += Live - 1;
-    return true;
+    return FusedChain{Len, Live - 1};
   }
-  return false;
+  return FusedChain{};
 }
 
 void Reducer::project(MachineState &S) const {

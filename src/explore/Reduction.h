@@ -9,9 +9,12 @@
 /// ample-set scheduler that collapses commuting interleavings to a single
 /// representative order, plus a projection of terminated threads' state.
 /// Selection is a pure function of the state, so the reduced graph — and
-/// with it every BehaviorSet counter — is identical at every worker count.
-/// Soundness argument in DESIGN.md §10 and §13; the reduced == unreduced
-/// behavior sweep lives in tests/explore/ReductionEquivalenceTest.
+/// with it every BehaviorSet counter — is identical at every worker count,
+/// and the explorer selects once per canonical state: selectFused reports
+/// the chain's facts (FusedChain) instead of counting, and the explorer
+/// charges the reduction.* counters per visited node from them. Soundness
+/// argument in DESIGN.md §10 and §13; the reduced == unreduced behavior
+/// sweep lives in tests/explore/ReductionEquivalenceTest.
 ///
 /// Two cooperating mechanisms:
 ///
@@ -49,12 +52,22 @@
 namespace psopt {
 
 namespace detail {
-/// The reduction.* counters (defined in Reduction.cpp): fused chains,
-/// steps collapsed inside them, and sibling threads skipped at ample nodes.
+/// The reduction.* counters (defined in Reduction.cpp): nodes expanded
+/// through a fused chain, steps collapsed inside those chains, and sibling
+/// threads skipped at them. The explorer charges them per visited node
+/// from the FusedChain its state's expansion recorded.
 Statistic &numReductionAmpleNodes();
 Statistic &numReductionFusedSteps();
 Statistic &numReductionSleepSkips();
 } // namespace detail
+
+/// What one ample-set selection found: the fused chain's length in thread
+/// steps (0 when no thread is fusible and the state expands fully) and
+/// how many live sibling threads the choice left unscheduled.
+struct FusedChain {
+  unsigned Len = 0;
+  unsigned SleepSkips = 0;
+};
 
 /// Per-worker scratch buffers for the reduction layer; reused across node
 /// expansions to keep the hot path allocation-free.
@@ -76,10 +89,12 @@ public:
 
   /// Ample-set selection: if some thread is fusible at \p S, writes the
   /// fused macro-successor (the whole thread-local chain collapsed into a
-  /// single tau-labeled machine step) to \p Out and returns true. Pure in
-  /// \p S: every worker makes the same choice at the same state.
-  bool selectFused(const MachineState &S, ReducerScratch &Scr,
-                   MachineSuccessor &Out) const;
+  /// single tau-labeled machine step) to \p Out and returns the chain's
+  /// facts; otherwise returns a zero-length chain. Pure in \p S: every
+  /// worker makes the same choice at the same state, so the explorer
+  /// selects once per canonical state and replays the facts per node.
+  FusedChain selectFused(const MachineState &S, ReducerScratch &Scr,
+                         MachineSuccessor &Out) const;
 
   /// Applies the terminated-thread observable projection to \p S in place.
   /// Idempotent; called on every node state before canonicalization.

@@ -6,7 +6,7 @@
 
 #include "explore/Witness.h"
 #include "explore/Canonical.h"
-#include "explore/ExploreNode.h"
+#include "support/Hashing.h"
 
 #include <algorithm>
 #include <deque>
@@ -23,6 +23,27 @@ std::string Witness::str() const {
 }
 
 namespace {
+
+/// A (canonical state, output trace) node of the witness search. Traces
+/// are part of the identity because behaviors are path-dependent: the same
+/// machine state reached after different prints leads to different traces.
+struct ExploreNode {
+  MachineState State; // canonical
+  Trace Outs;
+
+  bool operator==(const ExploreNode &O) const {
+    return Outs == O.Outs && State == O.State;
+  }
+};
+
+struct ExploreNodeHash {
+  std::size_t operator()(const ExploreNode &N) const {
+    std::size_t Seed = N.State.hash();
+    for (Val V : N.Outs)
+      hashCombineValue(Seed, V);
+    return hashFinalize(Seed);
+  }
+};
 
 /// An explore node plus the parent link the reconstruction follows.
 struct SearchNode {

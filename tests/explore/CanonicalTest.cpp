@@ -166,7 +166,7 @@ TEST(CanonicalTest, ChildrenKeepingParentMemoryAreCanonical) {
     forEachReachableState(
         Start, 2000,
         [&](const MachineState &S, std::vector<MachineState> &Next) {
-          bool HasFused = R.selectFused(S, Scr, Fused);
+          bool HasFused = R.selectFused(S, Scr, Fused).Len != 0;
           if (HasFused) {
             R.project(Fused.State);
             Count.check(S, Fused.State);
