@@ -279,6 +279,8 @@ BehaviorSet explore(const Machine &M, const ExploreConfig &C) {
     detail::numReductionAmpleNodes() += L.AmpleNodes;
     detail::numReductionFusedSteps() += L.FusedSteps;
     detail::numReductionSleepSkips() += L.SleepSkips;
+    detail::numReductionChainMemoHits() += L.Scratch.MemoHits;
+    detail::numReductionChainMemoMisses() += L.Scratch.MemoMisses;
     OutBoundHit |= L.OutBoundHit;
   }
   B.Exhausted = !Stats.NodeBoundHit && !OutBoundHit;

@@ -39,6 +39,12 @@
 ///     LocalState::collapseTerminated), merging states that differ only
 ///     in how a finished thread got there.
 ///
+/// A chain's outcome depends only on its thread, that thread's state and
+/// the message lists of the thread's exclusive locations (those no peer
+/// writes), so each worker's ReducerScratch memoizes it under that key and
+/// walks each distinct chain once per exploration (DESIGN.md §10). The
+/// memo is a cache, not a second path: a miss runs the walk.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef PSOPT_EXPLORE_REDUCTION_H
@@ -47,6 +53,8 @@
 #include "ps/Machine.h"
 #include "support/Statistic.h"
 
+#include <cstdint>
+#include <unordered_map>
 #include <vector>
 
 namespace psopt {
@@ -59,6 +67,12 @@ namespace detail {
 Statistic &numReductionAmpleNodes();
 Statistic &numReductionFusedSteps();
 Statistic &numReductionSleepSkips();
+/// Chain-memo lookups that found / did not find the chain's outcome. Which
+/// worker first walks a chain is schedule-dependent, so at -j>1 these two
+/// vary from run to run (their sum does not); no exact counter diff
+/// includes them.
+Statistic &numReductionChainMemoHits();
+Statistic &numReductionChainMemoMisses();
 } // namespace detail
 
 /// What one ample-set selection found: the fused chain's length in thread
@@ -69,18 +83,45 @@ struct FusedChain {
   unsigned SleepSkips = 0;
 };
 
-/// Per-worker scratch buffers for the reduction layer; reused across node
-/// expansions to keep the hot path allocation-free.
+/// The outcome of walking thread T's thread-local chain from some state:
+/// everything the fused successor takes from the walk.
+struct ChainOutcome {
+  /// Fused steps; 0 when the chain revisits a local state, reaches
+  /// MaxChainLen, or its first step cannot fuse.
+  unsigned Len = 0;
+  ThreadState End; ///< T after the chain (unused when Len is 0)
+  /// The exclusive locations the chain's stores changed: storage() index
+  /// and the location's new message list.
+  std::vector<std::pair<std::size_t, Memory::Loc>> Stores;
+};
+
+/// One memoized chain: its key — the thread, its state at the chain
+/// start, and the message lists of its exclusive locations — and outcome.
+struct ChainMemoEntry {
+  Tid T = 0;
+  ThreadState Start;
+  std::vector<Memory::Loc> Slice; ///< in the Reducer's exclusive-location order
+  ChainOutcome Out;
+};
+
+/// Per-worker scratch for the reduction layer: buffers reused across node
+/// expansions to keep the hot path allocation-free, and the chain memo.
+/// A scratch serves one Reducer at a time; passing it to another Reducer
+/// drops the memo.
 struct ReducerScratch {
   std::vector<ThreadSuccessor> Steps;   ///< store/CAS enumeration buffer
-  ThreadState Chain;                    ///< the thread walked along a chain
   std::vector<std::size_t> ChainLocals; ///< local-state hashes along a chain
+  /// Walked chains, by the hash of their key.
+  std::unordered_multimap<std::size_t, ChainMemoEntry> Memo;
+  std::uint64_t MemoOwner = 0; ///< id of the Reducer whose chains Memo holds
+  std::uint64_t MemoHits = 0;   ///< lookups answered by Memo
+  std::uint64_t MemoMisses = 0; ///< lookups that walked the chain
 };
 
 /// One exploration's reduction context: static per-thread facts (write
 /// footprints, promise domains) consulted by the per-state ample-set
 /// selection. Immutable after construction — workers share one instance
-/// and pass their own ReducerScratch.
+/// and pass their own ReducerScratch, which memoizes chains per worker.
 class Reducer {
 public:
   /// Gathers the per-thread facts: write footprints, promise domains, and
@@ -90,9 +131,10 @@ public:
   /// Ample-set selection: if some thread is fusible at \p S, writes the
   /// fused macro-successor (the whole thread-local chain collapsed into a
   /// single tau-labeled machine step) to \p Out and returns the chain's
-  /// facts; otherwise returns a zero-length chain. Pure in \p S: every
-  /// worker makes the same choice at the same state, so the explorer
-  /// selects once per canonical state and replays the facts per node.
+  /// facts; otherwise returns a zero-length chain. Pure in \p S — the
+  /// memo in \p Scr only saves walks — so every worker makes the same
+  /// choice at the same state, and the explorer selects once per
+  /// canonical state and replays the facts per node.
   FusedChain selectFused(const MachineState &S, ReducerScratch &Scr,
                          MachineSuccessor &Out) const;
 
@@ -119,7 +161,25 @@ private:
     /// enabled, a read of an own-promisable location is not fusible: the
     /// pruned "promise first, then read own promise" order is observable.
     std::set<VarId> OwnPromisable;
+    /// storage() indices of the locations outside OthersWrite, in VarId
+    /// order: every location a chain of this thread can read or write.
+    std::vector<std::size_t> Exclusive;
   };
+
+  /// The cheap locality screen on the instruction \p I that thread \p T
+  /// would execute next (null: a terminator): false when that step cannot
+  /// fuse, judged from its kind, location and fence mode alone.
+  bool mayFuse(Tid T, const Instr *I) const;
+
+  /// The chain of thread \p T from \p S: from \p Scr's memo, or walked
+  /// and memoized there.
+  const ChainOutcome &chainFrom(const MachineState &S, Tid T,
+                                ReducerScratch &Scr) const;
+
+  /// Walks thread \p T's maximal thread-local chain from \p S into \p Out,
+  /// a fresh outcome.
+  void walkChain(const MachineState &S, Tid T, ReducerScratch &Scr,
+                 ChainOutcome &Out) const;
 
   /// True when thread \p T's read of \p X commutes with every step any
   /// peer (or T's own promise machinery) could take.
@@ -140,6 +200,8 @@ private:
 
   const Machine *M;
   std::vector<ThreadFacts> Facts; // indexed by thread id
+  std::size_t NumLocs = 0;        // storage() size of every state of M
+  std::uint64_t Id;               // tells apart the Reducers a scratch serves
 };
 
 } // namespace psopt

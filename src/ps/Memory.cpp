@@ -63,6 +63,12 @@ MessageList &Memory::mutableListAt(std::size_t I) {
   return *L.List;
 }
 
+void Memory::installListAt(std::size_t I, const Loc &L) {
+  PSOPT_CHECK(Locs[I].Var == L.Var, "installListAt: variable mismatch");
+  HashCache.invalidate();
+  Locs[I].List = L.List;
+}
+
 const Message *Memory::findConcrete(VarId X, const Time &To) const {
   const Message *M = find(X, To);
   return M && M->isConcrete() ? M : nullptr;

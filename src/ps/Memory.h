@@ -156,6 +156,11 @@ public:
   /// those (Message::invalidateHash).
   MessageList &mutableListAt(std::size_t I);
 
+  /// Makes the location at storage() index \p I share \p L's message list
+  /// (a refcount bump, no copy) and drops the whole-memory hash memo.
+  /// \p L must be for the same variable.
+  void installListAt(std::size_t I, const Loc &L);
+
 private:
   MessageList &list(VarId X);
 

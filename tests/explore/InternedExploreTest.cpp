@@ -72,7 +72,6 @@ std::optional<Reference> referenceSearch(const Machine &M, bool Reduce,
   std::optional<Reducer> Red;
   if (Reduce && M.supportsReduction())
     Red.emplace(M);
-  ReducerScratch Scr;
   struct StateFacts {
     bool Done = false;
     FusedChain Chain;
@@ -89,6 +88,9 @@ std::optional<Reference> referenceSearch(const Machine &M, bool Reduce,
       return F;
     }
     std::vector<MachineSuccessor> Succs(1);
+    // A fresh scratch per state: an empty chain memo, so every chain is
+    // walked here and the explorer's memo is checked, not replayed.
+    ReducerScratch Scr;
     if (Red)
       F.Chain = Red->selectFused(S, Scr, Succs[0]);
     if (F.Chain.Len == 0)

@@ -20,6 +20,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "explore/Canonical.h"
 #include "explore/Explorer.h"
 #include "explore/Reduction.h"
 #include "fuzz/Corpus.h"
@@ -29,6 +30,7 @@
 #include "litmus/RandomProgram.h"
 #include "litmus/ScaleWorkload.h"
 #include "ps/ThreadStep.h"
+#include "support/ReachableStates.h"
 
 #include <gtest/gtest.h>
 
@@ -122,6 +124,8 @@ TEST(ReductionEquivalenceTest, ReductionActuallyPrunes) {
   SC.EnablePromises = false;
   std::uint64_t Ample0 = detail::numReductionAmpleNodes().value();
   std::uint64_t Skips0 = detail::numReductionSleepSkips().value();
+  std::uint64_t Hits0 = detail::numReductionChainMemoHits().value();
+  std::uint64_t Misses0 = detail::numReductionChainMemoMisses().value();
   ExploreConfig On, Off;
   On.Reduce = true;
   Off.Reduce = false;
@@ -133,6 +137,13 @@ TEST(ReductionEquivalenceTest, ReductionActuallyPrunes) {
   EXPECT_LE(ROn.NodesVisited * 5, ROff.NodesVisited);
   EXPECT_GT(detail::numReductionAmpleNodes().value(), Ample0);
   EXPECT_GT(detail::numReductionSleepSkips().value(), Skips0);
+  // Peers move while a thread's chain start stays put: most chains are
+  // found in the memo, and every lookup is charged when the pool joins.
+  std::uint64_t Hits = detail::numReductionChainMemoHits().value() - Hits0;
+  std::uint64_t Misses =
+      detail::numReductionChainMemoMisses().value() - Misses0;
+  EXPECT_GT(Misses, 0u);
+  EXPECT_GT(Hits, Misses);
 }
 
 TEST(ReductionEquivalenceTest, ExclusiveWriteFusionShrinksPrivateStoreWorkload) {
@@ -209,6 +220,170 @@ TEST(ReductionEquivalenceTest, NodeBoundSemanticsUnderReduction) {
     EXPECT_FALSE(B.Exhausted) << "jobs=" << K;
     EXPECT_EQ(B.NodesVisited, Tight.MaxNodes) << "jobs=" << K;
   }
+}
+
+/// Both selections at one state chose the same chain and built the same
+/// fused successor.
+void expectSameSelection(const FusedChain &CA, const MachineSuccessor &A,
+                         const FusedChain &CB, const MachineSuccessor &B) {
+  EXPECT_EQ(CA.Len, CB.Len);
+  EXPECT_EQ(CA.SleepSkips, CB.SleepSkips);
+  if (CA.Len == 0 || CB.Len == 0)
+    return;
+  EXPECT_EQ(A.Ev.K, B.Ev.K);
+  EXPECT_EQ(A.Ev.Thread, B.Ev.Thread);
+  EXPECT_EQ(A.Ev.OutVal, B.Ev.OutVal);
+  EXPECT_TRUE(A.Ev.ThreadEv == B.Ev.ThreadEv);
+  EXPECT_TRUE(A.State == B.State);
+  EXPECT_EQ(A.State.hash(), B.State.hash());
+}
+
+/// Walks up to \p Limit canonical states of \p M — through the full
+/// successor relation plus the fused successor when \p Full, else through
+/// the reduced graph the explorer expands — and at each compares
+/// selectFused through one long-lived scratch, whose memo spans the whole
+/// walk, with selectFused through a fresh scratch. Returns the long-lived
+/// scratch's memo hits.
+std::uint64_t expectMemoTransparent(const Machine &M, bool Full,
+                                    std::size_t Limit) {
+  if (!M.initial())
+    return 0;
+  Reducer R(M);
+  ReducerScratch Shared;
+  MachineState Start = *M.initial();
+  R.project(Start);
+  canonicalizeState(Start);
+  std::vector<MachineSuccessor> Succs;
+  forEachReachableState(
+      Start, Limit,
+      [&](const MachineState &S, std::vector<MachineState> &Next) {
+        ReducerScratch Fresh;
+        MachineSuccessor A, B;
+        FusedChain CA = R.selectFused(S, Shared, A);
+        FusedChain CB = R.selectFused(S, Fresh, B);
+        expectSameSelection(CA, A, CB, B);
+        Succs.clear();
+        if (Full || CB.Len == 0)
+          M.successors(S, Succs);
+        if (CB.Len != 0)
+          Succs.push_back(std::move(B));
+        for (MachineSuccessor &Succ : Succs) {
+          if (Succ.Ev.K == MachineEvent::Kind::Abort)
+            continue;
+          R.project(Succ.State);
+          canonicalizeState(Succ.State);
+          Next.push_back(std::move(Succ.State));
+        }
+      });
+  return Shared.MemoHits;
+}
+
+TEST(ChainMemoTest, MemoMatchesFreshScratchOnStepPropertyPrograms) {
+  // Litmus tests and random programs, promises on and off, fences; each
+  // walked through the full relation and again with reservations on.
+  std::uint64_t Hits = 0;
+  for (const NamedProgram &NP : stepPropertyPrograms()) {
+    SCOPED_TRACE(NP.Name);
+    for (bool Reservations : {false, true}) {
+      StepConfig SC = NP.Config;
+      SC.EnableReservations = Reservations;
+      InterleavingMachine M(NP.Prog, SC);
+      Hits += expectMemoTransparent(M, /*Full=*/true, 600);
+    }
+  }
+  EXPECT_GT(Hits, 0u);
+}
+
+TEST(ChainMemoTest, MemoMatchesFreshScratchOnPrivateStorePrograms) {
+  // The scale private-store programs, where chains are long and fuse
+  // stores: their reduced graphs under every promise/reservation setting.
+  std::uint64_t Hits = 0;
+  for (std::uint64_t Seed : {19u, 23u}) {
+    ScaleWorkloadConfig WC;
+    WC.Seed = Seed;
+    WC.NumThreads = 3;
+    WC.FillerPerThread = 5;
+    WC.PrivateStoresPerThread = 6;
+    WC.Skeletons = 1;
+    Program P = generateScaleWorkload(WC);
+    for (bool Promises : {false, true})
+      for (bool Reservations : {false, true}) {
+        SCOPED_TRACE(scaleWorkloadTag(WC) + (Promises ? " promises" : "") +
+                     (Reservations ? " reservations" : ""));
+        StepConfig SC;
+        SC.EnablePromises = Promises;
+        SC.EnableReservations = Reservations;
+        InterleavingMachine M(P, SC);
+        Hits += expectMemoTransparent(M, /*Full=*/false, 1000);
+      }
+  }
+  EXPECT_GT(Hits, 0u);
+}
+
+TEST(ChainMemoTest, MemoKeysOnExclusiveMessageLists) {
+  // t0 stores what it read of a into its private x, then spins until it
+  // reads a == 1. Whether its first read saw 0 or 1, t0 ends up in one
+  // thread state (registers and views alike) with x's history differing
+  // only in the stored value — and the chain from there reads x back.
+  // A memo keyed without t0's exclusive lists would hand the second
+  // state the first state's chain.
+  Program P = parseProgramOrDie(R"(var a atomic; var x;
+    func t0 { block 0: r := a.rlx; x.na := r; r := 0; jmp 1;
+              block 1: r := a.rlx; be r == 1, 2, 1;
+              block 2: s := x.na; print(s); ret; }
+    func t1 { block 0: a.rlx := 1; ret; }
+    thread t0; thread t1;)");
+  StepConfig SC;
+  SC.EnablePromises = false;
+  InterleavingMachine M(P, SC);
+  Reducer R(M);
+  MachineState Start = *M.initial();
+  R.project(Start);
+  canonicalizeState(Start);
+  std::vector<MachineState> States;
+  std::vector<MachineSuccessor> Succs;
+  forEachReachableState(
+      Start, 1000,
+      [&](const MachineState &S, std::vector<MachineState> &Next) {
+        States.push_back(S);
+        M.successors(S, Succs);
+        for (MachineSuccessor &Succ : Succs) {
+          if (Succ.Ev.K == MachineEvent::Kind::Abort)
+            continue;
+          R.project(Succ.State);
+          canonicalizeState(Succ.State);
+          Next.push_back(std::move(Succ.State));
+        }
+      });
+
+  // Two states whose t0 agrees but whose fused chains of t0 do not.
+  const MachineState *S1 = nullptr, *S2 = nullptr;
+  for (std::size_t I = 0; I < States.size() && !S1; ++I)
+    for (std::size_t J = I + 1; J < States.size() && !S1; ++J) {
+      if (!(States[I].Threads[0] == States[J].Threads[0]))
+        continue;
+      ReducerScratch FI, FJ;
+      MachineSuccessor OI, OJ;
+      if (R.selectFused(States[I], FI, OI).Len == 0 ||
+          R.selectFused(States[J], FJ, OJ).Len == 0 || OI.Ev.Thread != 0 ||
+          OJ.Ev.Thread != 0 || OI.State.Threads[0] == OJ.State.Threads[0])
+        continue;
+      S1 = &States[I];
+      S2 = &States[J];
+    }
+  ASSERT_TRUE(S1 && S2) << "no pair of states with one t0 and two chains";
+  EXPECT_FALSE(S1->Mem.messages(VarId("x")) == S2->Mem.messages(VarId("x")));
+
+  ReducerScratch Shared;
+  for (const MachineState *S : {S1, S2, S1, S2}) {
+    ReducerScratch Fresh;
+    MachineSuccessor A, B;
+    FusedChain CA = R.selectFused(*S, Shared, A);
+    FusedChain CB = R.selectFused(*S, Fresh, B);
+    expectSameSelection(CA, A, CB, B);
+  }
+  EXPECT_EQ(Shared.MemoMisses, 2u);
+  EXPECT_EQ(Shared.MemoHits, 2u);
 }
 
 TEST(ScaleWorkloadTest, DeterministicAndInRange) {
