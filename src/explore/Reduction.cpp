@@ -40,22 +40,19 @@ static std::uint64_t nextReducerId() {
 
 Reducer::Reducer(const Machine &M) : M(&M), Id(nextReducerId()) {
   const Program &P = M.program();
-  const std::vector<FuncId> &Threads = P.threads();
-  std::vector<std::set<VarId>> Footprints(Threads.size());
-  for (std::size_t T = 0; T < Threads.size(); ++T)
-    Footprints[T] = computeWriteFootprint(P, Threads[T]);
-  Facts.resize(Threads.size());
-  for (std::size_t T = 0; T < Threads.size(); ++T) {
-    for (std::size_t U = 0; U < Threads.size(); ++U)
-      if (U != T)
-        Facts[T].OthersWrite.insert(Footprints[U].begin(),
-                                    Footprints[U].end());
-    if (M.config().EnablePromises)
-      Facts[T].OwnPromisable = M.promiseDomain(static_cast<Tid>(T)).Vars;
-  }
+  // Peer footprints cover reachable blocks only. A peer's promise domain
+  // is syntactic (it may name a location the peer stores to only in an
+  // unreachable block), but such a promise can never be certified — the
+  // fulfilling store never runs — so it never enters a reachable state.
   FootprintAnalysis FA(P);
-  for (std::size_t T = 0; T < Threads.size(); ++T)
-    Facts[T].OthersRead = FA.peersRead(static_cast<Tid>(T));
+  Facts.resize(P.threads().size());
+  for (std::size_t T = 0; T < Facts.size(); ++T) {
+    Tid Self = static_cast<Tid>(T);
+    Facts[T].OthersWrite = FA.peersWrite(Self);
+    Facts[T].OthersRead = FA.peersRead(Self);
+    if (M.config().EnablePromises)
+      Facts[T].OwnPromisable = M.promiseDomain(Self).Vars;
+  }
   // Every state of M has the initial memory's locations (it covers every
   // referenced variable), so storage() indices name the same variables in
   // all of them.
@@ -159,7 +156,7 @@ void Reducer::walkChain(const MachineState &S, Tid T, ReducerScratch &Scr,
       // cleared a CAS as a read; a CAS that succeeds must also be an
       // exclusive write.
       Scr.Steps.clear();
-      enumerateProgramSteps(P, T, Cur, Mem, Scr.Steps, M->config());
+      enumerateProgramSteps(P, T, Cur, Mem, Scr.Steps, M->tracksAcqView());
       if (Scr.Steps.size() != 1 || Scr.Steps[0].Abort)
         break; // chain ends before a branch point / abort
       ThreadSuccessor &Step = Scr.Steps[0];
@@ -180,7 +177,7 @@ void Reducer::walkChain(const MachineState &S, Tid T, ReducerScratch &Scr,
       // only the thread's own views (see fusibleFence for the rel-side
       // promise caveat).
       ThreadEvent Ev;
-      if (!stepInPlace(P, T, Cur, Mem, Ev, M->config()))
+      if (!stepInPlace(P, T, Cur, Mem, Ev, M->tracksAcqView()))
         break; // a branch point (several readable messages) or an abort
     }
     ++Len;

@@ -149,9 +149,10 @@ private:
   static constexpr unsigned MaxChainLen = 4096;
 
   struct ThreadFacts {
-    /// Union of every *other* thread's static write footprint: locations a
-    /// read by this thread can race with. A load outside this set is
-    /// thread-local for scheduling purposes.
+    /// Union of every *other* thread's static write footprint
+    /// (FootprintAnalysis::peersWrite): locations a read by this thread
+    /// can race with. A load outside this set is thread-local for
+    /// scheduling purposes.
     std::set<VarId> OthersWrite;
     /// Union of every *other* thread's static read footprint (from
     /// analysis/Footprint.h): a store to a location outside OthersWrite ∪

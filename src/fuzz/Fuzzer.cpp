@@ -25,6 +25,9 @@
 
 namespace psopt {
 
+/// Shrinker oracle budget per failure (ShrinkConfig::MaxChecks).
+static constexpr unsigned ShrinkMaxChecks = 400;
+
 std::uint64_t fuzzRunSeed(std::uint64_t Base, unsigned Run) {
   if (Run == 0)
     return Base; // identity, so logged seeds replay with --runs=1
@@ -272,7 +275,7 @@ FuzzReport runFuzzer(const FuzzConfig &C) {
       F.InstrsBefore = F.InstrsAfter = programInstructionCount(Src);
       if (C.Shrink && StillFails) {
         ShrinkConfig SC;
-        SC.MaxChecks = C.ShrinkMaxChecks;
+        SC.MaxChecks = ShrinkMaxChecks;
         ShrinkResult R = shrinkProgram(Src, StillFails, SC);
         F.Shrunk = std::move(R.Prog);
         F.InstrsAfter = R.InstrsAfter;

@@ -51,7 +51,6 @@ struct FuzzConfig {
   bool Shrink = true;          ///< minimize failures before reporting
   unsigned TimeBudgetSec = 0;  ///< wall-clock cap; 0 = unlimited
   std::uint64_t MaxNodes = 200'000; ///< per-exploration bound; trips skip
-  unsigned ShrinkMaxChecks = 400;   ///< shrinker oracle budget per failure
 
   /// Fixed pass pipeline (names for createPassByName, unsafe-* allowed).
   /// Empty selects a fresh random pipeline of verified passes per run.

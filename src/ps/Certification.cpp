@@ -44,7 +44,7 @@ struct CertNodeHash {
 } // namespace
 
 CertResult certSearch(const Program &P, Tid T, const ThreadState &TS,
-                      Memory Capped, const StepConfig &C) {
+                      Memory Capped, const StepConfig &C, bool TrackAcqView) {
   ++NumCertRuns;
 
   std::unordered_set<CertNode, CertNodeHash> Visited;
@@ -74,7 +74,7 @@ CertResult certSearch(const Program &P, Tid T, const ThreadState &TS,
       return CertResult::Consistent;
 
     Succs.clear();
-    enumerateProgramSteps(P, T, Node.TS, Node.Mem, Succs, CertCfg);
+    enumerateProgramSteps(P, T, Node.TS, Node.Mem, Succs, TrackAcqView);
     enumeratePrcSteps(P, T, Node.TS, Node.Mem, EmptyDomain, CertCfg, Succs);
     for (ThreadSuccessor &S : Succs) {
       if (S.Abort)
@@ -86,14 +86,16 @@ CertResult certSearch(const Program &P, Tid T, const ThreadState &TS,
 }
 
 bool consistent(const Program &P, Tid T, const ThreadState &TS,
-                const Memory &M, const StepConfig &C, CertCache *Cache) {
+                const Memory &M, const StepConfig &C, CertCache *Cache,
+                bool TrackAcqView) {
   if (!M.hasConcretePromises(T))
     return true;
 
   Memory Capped = M.capped(T);
 
   if (!Cache)
-    return certSearch(P, T, TS, std::move(Capped), C) == CertResult::Consistent;
+    return certSearch(P, T, TS, std::move(Capped), C, TrackAcqView) ==
+           CertResult::Consistent;
 
   CertCacheKey Key = makeCertCacheKey(T, TS, Capped, C);
   if (std::optional<bool> Hit = Cache->lookup(Key)) {
@@ -102,7 +104,8 @@ bool consistent(const Program &P, Tid T, const ThreadState &TS,
     // divergence. Completed verdicts are canonicalization-invariant, so a
     // hit must reproduce exactly; a bound trip here would mean one was
     // cached, which the insert path below forbids.
-    CertResult Fresh = certSearch(P, T, TS, std::move(Capped), C);
+    CertResult Fresh =
+        certSearch(P, T, TS, std::move(Capped), C, TrackAcqView);
     PSOPT_CHECK(Fresh != CertResult::BoundTripped,
                 "cert cache hit for a bound-tripped search");
     PSOPT_CHECK((Fresh == CertResult::Consistent) == *Hit,
@@ -111,7 +114,7 @@ bool consistent(const Program &P, Tid T, const ThreadState &TS,
     return *Hit;
   }
 
-  CertResult R = certSearch(P, T, TS, std::move(Capped), C);
+  CertResult R = certSearch(P, T, TS, std::move(Capped), C, TrackAcqView);
   // A bound trip is a resource verdict; caching it would make hits depend
   // on which isomorphic instance populated the entry.
   if (R != CertResult::BoundTripped)

@@ -39,19 +39,24 @@ class CertCache;
 enum class CertResult : std::uint8_t { Consistent, Inconsistent, BoundTripped };
 
 /// Runs the certification search for thread \p T from (\p TS, \p Capped),
-/// where \p Capped is the already-capped memory M̂. No fast path and no
-/// caching — callers normally want consistent() instead.
+/// where \p Capped is the already-capped memory M̂, stepping with the
+/// machine's acquire-view tracking \p TrackAcqView (enumerateProgramSteps).
+/// No fast path and no caching — callers normally want consistent()
+/// instead.
 CertResult certSearch(const Program &P, Tid T, const ThreadState &TS,
-                      Memory Capped, const StepConfig &C);
+                      Memory Capped, const StepConfig &C,
+                      bool TrackAcqView);
 
 /// True iff thread \p T can certify all its promises from state (\p TS, \p M).
 /// Fast path: no concrete promises — trivially consistent. When \p Cache is
 /// non-null, completed verdicts are memoized under the canonicalized
 /// (thread state, capped memory) key; bound-tripped searches are never
-/// cached, so a hit is bit-identical to recomputation.
+/// cached, so a hit is bit-identical to recomputation. The key omits
+/// \p TrackAcqView, so one cache must only ever serve one value of it;
+/// each machine owns its cache and derives the flag once from its program.
 bool consistent(const Program &P, Tid T, const ThreadState &TS,
                 const Memory &M, const StepConfig &C,
-                CertCache *Cache = nullptr);
+                CertCache *Cache = nullptr, bool TrackAcqView = false);
 
 } // namespace psopt
 

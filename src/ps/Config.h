@@ -35,9 +35,6 @@ struct StepConfig {
   /// Allow reserve/cancel steps outside certification.
   bool EnableReservations = false;
 
-  /// Maximum simultaneous reservations per thread (when enabled).
-  unsigned MaxOutstandingReservations = 1;
-
   /// Certification search bounds (states visited in the capped memory).
   unsigned CertMaxStates = 20000;
 
@@ -45,14 +42,6 @@ struct StepConfig {
   /// Behavior-neutral: bound-tripped searches are never cached, so every
   /// hit is bit-identical to recomputation. CLI: --cert-cache=on|off.
   bool EnableCertCache = true;
-
-  /// Maintain the per-thread acquire view (ThreadState::Acq): relaxed reads
-  /// bank the read message's view so a later `fence.acq` can publish it
-  /// into V. Machines turn this on automatically when the program contains
-  /// an acquire-side fence (programHasAcquireFence); keeping it off for
-  /// fence-free programs leaves their state graphs — and the checked-in
-  /// state oracle fingerprints — bit-identical to the pre-fence semantics.
-  bool TrackAcqView = false;
 };
 
 /// Per-thread promise candidate domain, precomputed from the program text:

@@ -44,10 +44,8 @@ std::string MachineState::str() const {
   return Out;
 }
 
-Machine::Machine(const Program &Prog, StepConfig C) : P(&Prog), Cfg(C) {
-  // The acquire-view gate is a property of the program, not a caller
-  // choice: fence-free programs keep their exact pre-fence state graphs.
-  Cfg.TrackAcqView = programHasAcquireFence(Prog);
+Machine::Machine(const Program &Prog, StepConfig C)
+    : P(&Prog), Cfg(C), TrackAcqView(programHasAcquireFence(Prog)) {
   if (Cfg.EnableCertCache)
     Cert = std::make_unique<CertCache>();
   // Initial memory covers every referenced variable plus declared atomics,
@@ -78,7 +76,7 @@ void Machine::liftThreadSuccessors(const MachineState &S, Tid T,
                                    bool AllowPromiseReserve, bool TrackNP,
                                    std::vector<MachineSuccessor> &Out) const {
   std::vector<ThreadSuccessor> Succs;
-  enumerateProgramSteps(*P, T, S.Threads[T], S.Mem, Succs, Cfg);
+  enumerateProgramSteps(*P, T, S.Threads[T], S.Mem, Succs, TrackAcqView);
   enumeratePrcSteps(*P, T, S.Threads[T], S.Mem, Domains[T], Cfg, Succs);
 
   for (ThreadSuccessor &TSucc : Succs) {
@@ -99,7 +97,8 @@ void Machine::liftThreadSuccessors(const MachineState &S, Tid T,
 
     // Per-step consistency: the stepping thread must still be able to
     // fulfil all of its promises (Fig 9 τ-step premise).
-    if (!consistent(*P, T, TSucc.TS, TSucc.Mem, Cfg, Cert.get())) {
+    if (!consistent(*P, T, TSucc.TS, TSucc.Mem, Cfg, Cert.get(),
+                    TrackAcqView)) {
       ++NumCertRejects;
       continue;
     }

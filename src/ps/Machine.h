@@ -94,6 +94,11 @@ public:
   const Program &program() const { return *P; }
   const StepConfig &config() const { return Cfg; }
 
+  /// Whether the step relation maintains the acquire view
+  /// (enumerateProgramSteps): on exactly when the program has an
+  /// acquire-side fence (programHasAcquireFence), derived once here.
+  bool tracksAcqView() const { return TrackAcqView; }
+
   /// Thread \p T's promise domain, computed once at construction.
   const PromiseDomain &promiseDomain(Tid T) const { return Domains[T]; }
 
@@ -132,6 +137,7 @@ protected:
 
   const Program *P;
   StepConfig Cfg;
+  bool TrackAcqView;
   std::vector<PromiseDomain> Domains; // Indexed by thread id.
   std::optional<MachineState> Init;
   std::unique_ptr<CertCache> Cert; // Null when EnableCertCache is off.

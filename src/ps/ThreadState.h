@@ -26,7 +26,7 @@ namespace psopt {
 /// has none):
 ///  * Acq accumulates the message views of relaxed reads; `fence.acq`
 ///    joins it into V and resets it. It is only maintained when the
-///    program contains an acquire-side fence (StepConfig::TrackAcqView),
+///    program contains an acquire-side fence (Machine::tracksAcqView),
 ///    so fence-free programs keep their exact pre-fence state graphs.
 ///  * Rel snapshots V at a `fence.rel`; subsequent na/rlx messages and
 ///    promises carry it as their message view. It stays ⊥ in fence-free

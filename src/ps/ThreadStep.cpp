@@ -10,6 +10,10 @@ namespace psopt {
 
 namespace {
 
+/// Maximum simultaneous reservations per thread outside certification
+/// (when StepConfig::EnableReservations is on).
+constexpr unsigned MaxOutstandingReservations = 1;
+
 /// True when load \p I breaks its location's access mode (an na read of an
 /// atomic location or an atomic read of an na one): the step aborts.
 bool loadAborts(const Program &P, const Instr &I) {
@@ -26,7 +30,7 @@ Time readBound(const View &V, const Instr &I) {
 /// mode \p RM and advances past the instruction. \p Dest receives
 /// \p RegVal: the message value for a load, 0 for a failed CAS.
 void applyRead(ThreadState &TS, VarId X, ReadMode RM, RegId Dest, Val RegVal,
-               const Message &Msg, const StepConfig &C) {
+               const Message &Msg, bool TrackAcqView) {
   // na reads record the timestamp on Trlx only; rlx/acq record it on both
   // maps; acq additionally joins the message view (§3).
   TS.V.joinRlxAt(X, Msg.To);
@@ -36,7 +40,7 @@ void applyRead(ThreadState &TS, VarId X, ReadMode RM, RegId Dest, Val RegVal,
     TS.V.join(Msg.MsgView);
   // A relaxed read banks the message view for a later acquire fence
   // (C11: the fence upgrades preceding relaxed reads to acquire).
-  if (C.TrackAcqView && RM == ReadMode::RLX)
+  if (TrackAcqView && RM == ReadMode::RLX)
     TS.Acq.join(Msg.MsgView);
   TS.Local.regs().set(Dest, RegVal);
   TS.Local.advance();
@@ -49,7 +53,7 @@ struct StepBuilder {
   Tid T;
   const ThreadState &TS;
   const Memory &M;
-  const StepConfig &C;
+  bool TrackAcqView;
   std::vector<ThreadSuccessor> &Out;
 
   void abortStep() {
@@ -87,7 +91,8 @@ struct StepBuilder {
       ThreadSuccessor S;
       S.Ev = ThreadEvent::read(I.readMode(), I.var(), Msg->Value);
       S.TS = TS;
-      applyRead(S.TS, I.var(), I.readMode(), I.dest(), Msg->Value, *Msg, C);
+      applyRead(S.TS, I.var(), I.readMode(), I.dest(), Msg->Value, *Msg,
+                TrackAcqView);
       S.Mem = M;
       Out.push_back(std::move(S));
     }
@@ -163,7 +168,7 @@ struct StepBuilder {
         ThreadSuccessor S;
         S.Ev = ThreadEvent::read(RM, X, Msg->Value);
         S.TS = TS;
-        applyRead(S.TS, X, RM, I.dest(), 0, *Msg, C);
+        applyRead(S.TS, X, RM, I.dest(), 0, *Msg, TrackAcqView);
         S.Mem = M;
         Out.push_back(std::move(S));
         continue;
@@ -195,7 +200,7 @@ struct StepBuilder {
       S.TS.Local.advance();
       S.TS.V = std::move(NewV);
       S.TS.Acq = TS.Acq;
-      if (C.TrackAcqView && RM == ReadMode::RLX)
+      if (TrackAcqView && RM == ReadMode::RLX)
         S.TS.Acq.join(Msg->MsgView);
       S.TS.Rel = TS.Rel;
       S.Mem = std::move(NewM);
@@ -207,7 +212,7 @@ struct StepBuilder {
 } // namespace
 
 bool stepInPlace(const Program &P, Tid T, ThreadState &TS, const Memory &M,
-                 ThreadEvent &Ev, const StepConfig &C) {
+                 ThreadEvent &Ev, bool TrackAcqView) {
   if (TS.Local.isTerminated())
     return false;
   const Instr *I = TS.Local.currentInstr(P);
@@ -239,7 +244,8 @@ bool stepInPlace(const Program &P, Tid T, ThreadState &TS, const Memory &M,
     if (!Msg)
       return false;
     Ev = ThreadEvent::read(I->readMode(), I->var(), Msg->Value);
-    applyRead(TS, I->var(), I->readMode(), I->dest(), Msg->Value, *Msg, C);
+    applyRead(TS, I->var(), I->readMode(), I->dest(), Msg->Value, *Msg,
+              TrackAcqView);
     return true;
   }
   case Instr::Kind::Fence: {
@@ -273,11 +279,11 @@ bool stepInPlace(const Program &P, Tid T, ThreadState &TS, const Memory &M,
 
 void enumerateProgramSteps(const Program &P, Tid T, const ThreadState &TS,
                            const Memory &M, std::vector<ThreadSuccessor> &Out,
-                           const StepConfig &C) {
+                           bool TrackAcqView) {
   if (TS.Local.isTerminated())
     return;
 
-  StepBuilder B{P, T, TS, M, C, Out};
+  StepBuilder B{P, T, TS, M, TrackAcqView, Out};
   const Instr *I = TS.Local.currentInstr(P);
   if (I) {
     switch (I->kind()) {
@@ -299,7 +305,7 @@ void enumerateProgramSteps(const Program &P, Tid T, const ThreadState &TS,
   // and leave memory alone: stepInPlace, applied to a copy.
   ThreadSuccessor S;
   S.TS = TS;
-  if (stepInPlace(P, T, S.TS, M, S.Ev, C)) {
+  if (stepInPlace(P, T, S.TS, M, S.Ev, TrackAcqView)) {
     S.Mem = M;
     Out.push_back(std::move(S));
   } else if (!I) {
@@ -361,7 +367,7 @@ void enumeratePrcSteps(const Program & /*P*/, Tid T, const ThreadState &TS,
     }
   }
 
-  if (C.EnableReservations && Reservations < C.MaxOutstandingReservations) {
+  if (C.EnableReservations && Reservations < MaxOutstandingReservations) {
     for (const Memory::Loc &L : M.storage()) {
       VarId X = L.var();
       for (const Placement &Pl : M.enumeratePlacements(X, TS.V.rlxAt(X))) {
@@ -386,50 +392,6 @@ void enumeratePrcSteps(const Program & /*P*/, Tid T, const ThreadState &TS,
     S.Mem.removeReservation(Msg->Var, Msg->To);
     Out.push_back(std::move(S));
   }
-}
-
-bool threadEventsConflict(const ThreadEvent &A, const ThreadEvent &B) {
-  auto Writes = [](const ThreadEvent &E) {
-    switch (E.K) {
-    case ThreadEvent::Kind::Write:
-    case ThreadEvent::Kind::Update:
-    case ThreadEvent::Kind::Promise:
-    case ThreadEvent::Kind::Reserve:
-    case ThreadEvent::Kind::Cancel:
-      return true;
-    default:
-      return false;
-    }
-  };
-  auto Touches = [&Writes](const ThreadEvent &E) {
-    return Writes(E) || E.K == ThreadEvent::Kind::Read;
-  };
-  if (!Touches(A) || !Touches(B))
-    return false; // tau/out are thread-local
-  if (A.Var != B.Var)
-    return false;
-  return Writes(A) || Writes(B);
-}
-
-std::set<VarId> computeWriteFootprint(const Program &P, FuncId F) {
-  std::set<VarId> Footprint;
-  std::set<FuncId> Seen;
-  std::vector<FuncId> Work{F};
-  while (!Work.empty()) {
-    FuncId Cur = Work.back();
-    Work.pop_back();
-    if (!Seen.insert(Cur).second || !P.hasFunction(Cur))
-      continue;
-    for (const auto &[L, B] : P.function(Cur).blocks()) {
-      (void)L;
-      for (const Instr &I : B.instructions())
-        if (I.kind() == Instr::Kind::Store || I.kind() == Instr::Kind::Cas)
-          Footprint.insert(I.var());
-      if (B.terminator().isCall())
-        Work.push_back(B.terminator().callee());
-    }
-  }
-  return Footprint;
 }
 
 PromiseDomain computePromiseDomain(const Program &P, FuncId F) {

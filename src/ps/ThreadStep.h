@@ -43,12 +43,16 @@ struct ThreadSuccessor {
 };
 
 /// Enumerates all instruction/terminator steps of thread \p T.
-/// Terminated threads have no steps. \p C carries the semantic knobs the
-/// step relation itself consumes (today just TrackAcqView); machines pass
-/// their own config, direct callers may rely on the fence-free default.
+/// Terminated threads have no steps. \p TrackAcqView maintains the
+/// per-thread acquire view (ThreadState::Acq): relaxed reads bank the read
+/// message's view so a later `fence.acq` can publish it into V. It is a
+/// property of the program, not a caller choice: machines set it to
+/// programHasAcquireFence(P), so fence-free programs keep their exact
+/// pre-fence state graphs (and the checked-in state oracle fingerprints);
+/// direct callers may rely on the fence-free default.
 void enumerateProgramSteps(const Program &P, Tid T, const ThreadState &TS,
                            const Memory &M, std::vector<ThreadSuccessor> &Out,
-                           const StepConfig &C = StepConfig{});
+                           bool TrackAcqView = false);
 
 /// Advances thread \p T's state \p TS in place by its next program step,
 /// provided that step is the thread's only successor, does not abort, and
@@ -62,10 +66,10 @@ void enumerateProgramSteps(const Program &P, Tid T, const ThreadState &TS,
 /// explorer's chain fuser walks thread-local chains with it without
 /// materializing a ThreadSuccessor per step.
 bool stepInPlace(const Program &P, Tid T, ThreadState &TS, const Memory &M,
-                 ThreadEvent &Ev, const StepConfig &C = StepConfig{});
+                 ThreadEvent &Ev, bool TrackAcqView = false);
 
 /// True when any instruction of \p P is a fence with an acquire component.
-/// Machines use this to switch on StepConfig::TrackAcqView.
+/// Machines use this to switch on acquire-view tracking (TrackAcqView).
 bool programHasAcquireFence(const Program &P);
 
 /// Enumerates promise/reserve/cancel steps of thread \p T under the given
@@ -77,23 +81,6 @@ void enumeratePrcSteps(const Program &P, Tid T, const ThreadState &TS,
 /// Computes the promise domain of thread entry \p F: na/rlx store targets
 /// and store constants of every function reachable from \p F through calls.
 PromiseDomain computePromiseDomain(const Program &P, FuncId F);
-
-/// True when two thread events may conflict, i.e. executing them in either
-/// order is not guaranteed to commute: both touch the same location and at
-/// least one writes it. Read/read pairs on one location and accesses to
-/// different locations commute; tau and out never conflict with anything.
-/// Promise/reserve/cancel count as writes of their location (they edit the
-/// message pool there). This is the independence relation underlying the
-/// explorer's ample-set reduction (explore/Reduction.h).
-bool threadEventsConflict(const ThreadEvent &A, const ThreadEvent &B);
-
-/// The set of locations thread entry \p F may ever write — store and CAS
-/// targets of every function reachable from \p F through calls. Promises
-/// are covered too: a thread's promise domain is a subset of its na/rlx
-/// store targets. The reduction layer uses these static footprints to
-/// prove loads exclusive (no other thread can write the location, so
-/// delaying or hoisting the read commutes with every peer step).
-std::set<VarId> computeWriteFootprint(const Program &P, FuncId F);
 
 } // namespace psopt
 

@@ -86,12 +86,9 @@ public:
   Checker(const Program &Tgt, const Program &Src, const Invariant &I,
           const std::vector<EnvAction> &Env, const SimConfig &C)
       : Tgt(Tgt), Src(Src), Inv(I), Env(Env), Cfg(C),
-        Atomics(Tgt.atomics()) {
-    // Both sides must step under the same view-tracking regime, or a fence
-    // on one side would (not) bank acquire views the other side does.
-    StepCfg.TrackAcqView =
-        programHasAcquireFence(Tgt) || programHasAcquireFence(Src);
-  }
+        Atomics(Tgt.atomics()),
+        TrackAcqView(programHasAcquireFence(Tgt) ||
+                     programHasAcquireFence(Src)) {}
 
   SimResult run(FuncId F) {
     SimResult R;
@@ -179,7 +176,7 @@ private:
       return matchTermination(N);
 
     std::vector<ThreadSuccessor> TgtSteps;
-    enumerateProgramSteps(Tgt, 0, N.TSt, N.Mt, TgtSteps, StepCfg);
+    enumerateProgramSteps(Tgt, 0, N.TSt, N.Mt, TgtSteps, TrackAcqView);
     if (Cfg.TargetPromises) {
       StepConfig SC;
       SC.EnablePromises = true;
@@ -235,7 +232,7 @@ private:
       for (std::size_t I = Frontier; I < End; ++I) {
         SrcState Cur = Out[I]; // copy: Out may reallocate
         std::vector<ThreadSuccessor> Steps;
-        enumerateProgramSteps(Src, 0, Cur.TSs, Cur.Ms, Steps, StepCfg);
+        enumerateProgramSteps(Src, 0, Cur.TSs, Cur.Ms, Steps, TrackAcqView);
         for (ThreadSuccessor &S : Steps) {
           if (S.Abort || !S.Ev.isNA())
             continue;
@@ -326,7 +323,7 @@ private:
              Base.TSt, Base.Mt, N.TSs, N.Ms, Base.Phi, Base.D,
              Base.SwitchAllowed, Base.EnvMask})) {
       std::vector<ThreadSuccessor> Steps;
-      enumerateProgramSteps(Src, 0, S.TSs, S.Ms, Steps, StepCfg);
+      enumerateProgramSteps(Src, 0, S.TSs, S.Ms, Steps, TrackAcqView);
       for (ThreadSuccessor &SS : Steps) {
         if (SS.Abort || !sameEvent(Ev, SS.Ev))
           continue;
@@ -414,8 +411,10 @@ private:
   const Invariant &Inv;
   const std::vector<EnvAction> &Env;
   SimConfig Cfg;
-  StepConfig StepCfg;
   std::set<VarId> Atomics;
+  // Both sides must step under the same view-tracking regime, or a fence
+  // on one side would (not) bank acquire views the other side does.
+  bool TrackAcqView;
   PromiseDomain TgtDomain, SrcDomain;
   std::unordered_map<SimNode, Status, SimNodeHash> Memo;
   std::string FirstFail;

@@ -9,8 +9,8 @@
 ///
 ///  * Thm 4.1 — NP ≈ interleaving on arbitrary (even racy) programs;
 ///  * Lm 5.1 — ww-RF verdicts agree between the machines;
-///  * Thm 6.6 — every verified pass refines ww-RF-by-construction sources
-///    and preserves ww-RF;
+///  * Thm 6.6 — every verified pass, alone and chained, refines
+///    ww-RF-by-construction sources and preserves ww-RF;
 ///  * infrastructure — parser round-trip, validation of generated code.
 ///
 //===----------------------------------------------------------------------===//
@@ -23,6 +23,7 @@
 #include "litmus/RandomProgram.h"
 #include "opt/Pass.h"
 #include "race/WWRace.h"
+#include "support/PassTestSupport.h"
 
 #include <gtest/gtest.h>
 
@@ -94,36 +95,25 @@ TEST_P(RandomSeed, ExclusiveWritersAreWwRaceFree) {
       << printProgram(P);
 }
 
+// Thm 6.6 on promise-free random ww-RF programs: every verified pass
+// passes the shared Def 6.4 check under the full engine matrix
+// (tests/support/PassTestSupport.h).
 TEST_P(RandomSeed, PassesRefineRandomWwRFPrograms) {
   Program Src = generateRandomProgram(smallConfig(GetParam(), false));
   StepConfig SC;
   SC.EnablePromises = false;
-  BehaviorSet SrcB = exploreInterleaving(Src, SC);
-  if (!SrcB.Exhausted)
-    GTEST_SKIP() << "bound hit";
-  for (const auto &P : createAllVerifiedPasses()) {
-    Program Tgt = P->run(Src);
-    ASSERT_TRUE(isValidProgram(Tgt)) << P->name() << "\n" << printProgram(Tgt);
-    BehaviorSet TgtB = exploreInterleaving(Tgt, SC);
-    ASSERT_TRUE(TgtB.Exhausted);
-    RefinementResult R = checkRefinement(TgtB, SrcB);
-    EXPECT_TRUE(R.Holds) << P->name() << ": " << R.CounterExample
-                         << "\nsource:\n" << printProgram(Src)
-                         << "target:\n" << printProgram(Tgt);
-  }
+  expectPassesCorrect(Src, verifiedPasses(), SC);
 }
 
+// Lm 6.2 makes passes compose (§2.6): each preserves ww-RF, so every
+// later pass in a chain still sees a ww-RF source. The chain of all
+// verified passes must pass the same check.
 TEST_P(RandomSeed, PassesPreserveWwRF) {
   Program Src = generateRandomProgram(smallConfig(GetParam(), false));
   StepConfig SC;
   SC.EnablePromises = false;
-  for (const auto &P : createAllVerifiedPasses()) {
-    Program Tgt = P->run(Src);
-    RaceCheckResult R = checkWWRaceFreedom(Tgt, SC);
-    if (!R.Exact)
-      continue;
-    EXPECT_TRUE(R.RaceFree) << P->name() << "\n" << printProgram(Tgt);
-  }
+  PassPipeline Pipeline("all", createAllVerifiedPasses());
+  expectPassesCorrect(Src, {&Pipeline}, SC);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomSeed, ::testing::Range(0u, 25u));

@@ -80,7 +80,7 @@ TEST(CSETest, UnsafeCSEAcrossAcquireBreaksRefinement) {
   // The safe pass refuses; the program is its own target.
   Program TSafe = createCSE()->run(P);
   EXPECT_TRUE(TSafe == P);
-  expectPassCorrect(*createCSE(), P);
+  expectPassesCorrect(P, {createCSE().get()});
 
   // The unsafe pass rewrites r2 := y.na into r2 := r1 ...
   Program TBad = createUnsafeCSE()->run(P);
@@ -100,7 +100,7 @@ TEST(CSETest, CorrectOnDuplicateLoadsWithRacyWriter) {
     func f { block 0: r1 := x.na; r2 := x.na; print(r2); ret; }
     func g { block 0: x.na := 3; ret; }
     thread f; thread g;)");
-  expectPassCorrect(*createCSE(), P);
+  expectPassesCorrect(P, {createCSE().get()});
 }
 
 } // namespace

@@ -80,7 +80,7 @@ TEST(ConstPropTest, PreservesBehaviorOnBranchyProgram) {
              block 2: print(0); ret; }
     func g { block 0: r := x.rlx; print(r + 100); ret; }
     thread f; thread g;)");
-  expectPassCorrect(*createConstProp(), P);
+  expectPassesCorrect(P, {createConstProp().get()});
 }
 
 } // namespace

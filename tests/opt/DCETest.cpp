@@ -30,7 +30,7 @@ TEST(DCETest, Fig15ReleaseKeepsStore) {
   Program T = createDCE()->run(P);
   const BasicBlock &B = T.function(FuncId("t1")).block(0);
   EXPECT_TRUE(B.instructions()[0].isStore()) << "y := 2 must survive";
-  expectPassCorrect(*createDCE(), P);
+  expectPassesCorrect(P, {createDCE().get()});
 }
 
 TEST(DCETest, UnsafeDCEEliminatesAcrossReleaseAndBreaksRefinement) {
@@ -103,11 +103,11 @@ TEST(DCETest, StoreLiveOnOnePathSurvives) {
 }
 
 TEST(DCETest, CorrectOnFig15) {
-  expectPassCorrect(*createDCE(), litmus("fig15_src").Prog);
+  expectPassesCorrect(litmus("fig15_src").Prog, {createDCE().get()});
 }
 
 TEST(DCETest, CorrectOnFig16) {
-  expectPassCorrect(*createDCE(), litmus("fig16_src").Prog);
+  expectPassesCorrect(litmus("fig16_src").Prog, {createDCE().get()});
 }
 
 } // namespace

@@ -31,7 +31,7 @@ TEST(FenceWeakenTest, DropsAcqFenceDominatedByAcqFence) {
   const BasicBlock &B = firstFunction(T).block(0);
   EXPECT_TRUE(B.instructions()[1].isFence());
   EXPECT_TRUE(B.instructions()[2].isSkip());
-  EXPECT_TRUE(expectPassCorrectAllEngines(*createFenceWeaken(), P));
+  expectPassesCorrect(P, {createFenceWeaken().get()});
 }
 
 TEST(FenceWeakenTest, LoadBetweenAcqFencesKeepsBoth) {
@@ -59,7 +59,7 @@ TEST(FenceWeakenTest, DropsRelFenceDominatedByRelFence) {
   const BasicBlock &B = firstFunction(T).block(0);
   EXPECT_TRUE(B.instructions()[0].isFence());
   EXPECT_TRUE(B.instructions()[2].isSkip());
-  EXPECT_TRUE(expectPassCorrectAllEngines(*createFenceWeaken(), P));
+  expectPassesCorrect(P, {createFenceWeaken().get()});
 }
 
 TEST(FenceWeakenTest, StoreBetweenRelFencesKeepsBoth) {
@@ -84,7 +84,7 @@ TEST(FenceWeakenTest, AcqrelDominatedOnAcqSideDemotesToRel) {
   const BasicBlock &B = firstFunction(T).block(0);
   ASSERT_TRUE(B.instructions()[1].isFence());
   EXPECT_EQ(B.instructions()[1].fenceMode(), FenceMode::REL);
-  EXPECT_TRUE(expectPassCorrectAllEngines(*createFenceWeaken(), P));
+  expectPassesCorrect(P, {createFenceWeaken().get()});
 }
 
 TEST(FenceWeakenTest, TrailingAcqFenceIsDropped) {
@@ -93,7 +93,7 @@ TEST(FenceWeakenTest, TrailingAcqFenceIsDropped) {
     func f { block 0: r := d.na; fence.acq; print(r); ret; } thread f;)");
   Program T = createFenceWeaken()->run(P);
   EXPECT_TRUE(firstFunction(T).block(0).instructions()[1].isSkip());
-  EXPECT_TRUE(expectPassCorrectAllEngines(*createFenceWeaken(), P));
+  expectPassesCorrect(P, {createFenceWeaken().get()});
 }
 
 TEST(FenceWeakenTest, TrailingRelFenceIsDroppedAcrossLoads) {
@@ -104,7 +104,7 @@ TEST(FenceWeakenTest, TrailingRelFenceIsDroppedAcrossLoads) {
     thread f;)");
   Program T = createFenceWeaken()->run(P);
   EXPECT_TRUE(firstFunction(T).block(0).instructions()[1].isSkip());
-  EXPECT_TRUE(expectPassCorrectAllEngines(*createFenceWeaken(), P));
+  expectPassesCorrect(P, {createFenceWeaken().get()});
 }
 
 TEST(FenceWeakenTest, TrailingAcqrelAboveLoadsDemotesToAcq) {
@@ -119,7 +119,7 @@ TEST(FenceWeakenTest, TrailingAcqrelAboveLoadsDemotesToAcq) {
   const BasicBlock &B = firstFunction(T).block(0);
   ASSERT_TRUE(B.instructions()[1].isFence());
   EXPECT_EQ(B.instructions()[1].fenceMode(), FenceMode::ACQ);
-  EXPECT_TRUE(expectPassCorrectAllEngines(*createFenceWeaken(), P));
+  expectPassesCorrect(P, {createFenceWeaken().get()});
 }
 
 TEST(FenceWeakenTest, FenceBeforeAStoreIsKept) {
@@ -145,7 +145,7 @@ TEST(FenceWeakenTest, PrivateAccessesAreTransparentToBothRules) {
   const BasicBlock &B = firstFunction(T).block(0);
   EXPECT_TRUE(B.instructions()[1].isSkip()) << printProgram(T);
   EXPECT_TRUE(B.instructions()[3].isSkip()) << printProgram(T);
-  EXPECT_TRUE(expectPassCorrectAllEngines(*createFenceWeaken(), P));
+  expectPassesCorrect(P, {createFenceWeaken().get()});
 }
 
 TEST(FenceWeakenTest, UnsafeTwinDropsFenceAfterLoadAndBreaksRefinement) {

@@ -34,7 +34,7 @@ TEST(LInvTest, HoistsInvariantRead) {
   Program T = createLInv()->run(P);
   EXPECT_EQ(countNaLoads(firstFunction(T), VarId("x")), 2u)
       << printProgram(T);
-  expectPassCorrect(*createLInv(), P);
+  expectPassesCorrect(P, {createLInv().get()});
 }
 
 TEST(LICMTest, FullLicmMovesLoadOutOfLoop) {
@@ -48,7 +48,7 @@ TEST(LICMTest, FullLicmMovesLoadOutOfLoop) {
   Program T = createLICM()->run(P);
   EXPECT_EQ(countNaLoads(firstFunction(T), VarId("x")), 1u)
       << printProgram(T);
-  expectPassCorrect(*createLICM(), P);
+  expectPassesCorrect(P, {createLICM().get()});
 }
 
 TEST(LICMTest, RefusesToHoistAcrossAcquire) {
@@ -59,7 +59,7 @@ TEST(LICMTest, RefusesToHoistAcrossAcquire) {
   // The y load stays inside the loop: the body block (3) still loads y.
   EXPECT_EQ(countNaLoads(T.function(FuncId("foo")), VarId("y")), 1u);
   EXPECT_TRUE(T.function(FuncId("foo")).block(3).instructions()[0].isLoad());
-  expectPassCorrect(*createLICM(), P);
+  expectPassesCorrect(P, {createLICM().get()});
 }
 
 TEST(LICMTest, UnsafeLicmReproducesFig1Unsoundness) {
@@ -88,15 +88,14 @@ TEST(LICMTest, HoistsWhenSpinIsRelaxed) {
   EXPECT_TRUE(
       T.function(FuncId("foo")).block(3).instructions()[0].isAssign())
       << printProgram(T);
-  expectPassCorrect(*createLICM(), P);
+  expectPassesCorrect(P, {createLICM().get()});
 }
 
 TEST(LICMTest, Fig5IntroducesRwRaceButStaysCorrect) {
   // Fig 5(b): hoisting in the guarded code introduces a read-write race
   // with g's x write — and is still a correct transformation.
   Program P = litmus("fig5_src").Prog;
-  expectPassCorrect(*createLInv(), P);
-  expectPassCorrect(*createLICM(), P);
+  expectPassesCorrect(P, {createLInv().get(), createLICM().get()});
 }
 
 TEST(LInvTest, RefusesWhenLoopStoresTheVariable) {
@@ -144,7 +143,7 @@ TEST(LInvTest, HoistsAcrossReleaseWrite) {
   EXPECT_TRUE(
       T.function(FuncId("f")).block(2).instructions()[0].isAssign())
       << printProgram(T);
-  expectPassCorrect(*createLICM(), P);
+  expectPassesCorrect(P, {createLICM().get()});
 }
 
 TEST(LInvTest, ZeroTripLoopSpeculationIsSound) {
@@ -157,7 +156,7 @@ TEST(LInvTest, ZeroTripLoopSpeculationIsSound) {
              block 3: print(r2); ret; }
     func g { block 0: x.na := 9; ret; }
     thread f; thread g;)");
-  expectPassCorrect(*createLICM(), P);
+  expectPassesCorrect(P, {createLICM().get()});
 }
 
 } // namespace

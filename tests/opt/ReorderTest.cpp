@@ -28,7 +28,7 @@ TEST(ReorderTest, SinksStoreBelowLoad) {
   const BasicBlock &B = firstFunction(T).block(0);
   EXPECT_TRUE(B.instructions()[0].isLoad());
   EXPECT_TRUE(B.instructions()[1].isStore());
-  EXPECT_TRUE(expectPassCorrectAllEngines(*createReorder(), P));
+  expectPassesCorrect(P, {createReorder().get()});
 }
 
 TEST(ReorderTest, HoistsLoadAboveReleaseStore) {
@@ -40,7 +40,7 @@ TEST(ReorderTest, HoistsLoadAboveReleaseStore) {
   const BasicBlock &B = firstFunction(T).block(0);
   EXPECT_TRUE(B.instructions()[0].isLoad());
   EXPECT_TRUE(B.instructions()[1].isStore());
-  EXPECT_TRUE(expectPassCorrectAllEngines(*createReorder(), P));
+  expectPassesCorrect(P, {createReorder().get()});
 }
 
 TEST(ReorderTest, NeverHoistsAcrossAnAcquireLoad) {
@@ -68,7 +68,7 @@ TEST(ReorderTest, PrivateAcquireLoadIsNoHoistBarrier) {
   EXPECT_EQ(B.instructions()[0].readMode(), ReadMode::NA)
       << "the na load should hoist above the private acquire:\n"
       << printProgram(T);
-  EXPECT_TRUE(expectPassCorrectAllEngines(*createReorder(), P));
+  expectPassesCorrect(P, {createReorder().get()});
 }
 
 TEST(ReorderTest, RespectsRegisterDependence) {
@@ -81,7 +81,7 @@ TEST(ReorderTest, RespectsRegisterDependence) {
   EXPECT_TRUE(B.instructions()[0].isLoad());
   EXPECT_TRUE(B.instructions()[1].isStore() || B.instructions()[2].isStore());
   ASSERT_TRUE(B.instructions()[1].isAssign() || B.instructions()[2].isAssign());
-  EXPECT_TRUE(expectPassCorrectAllEngines(*createReorder(), P));
+  expectPassesCorrect(P, {createReorder().get()});
 }
 
 TEST(ReorderTest, RespectsSameLocationDependence) {

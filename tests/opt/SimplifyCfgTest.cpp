@@ -68,7 +68,7 @@ TEST(SimplifyCfgTest, CleansUpAfterConstPropBranchFolding) {
   Program T = Pipe.run(P);
   // The dead arm is gone entirely.
   EXPECT_FALSE(firstFunction(T).hasBlock(2));
-  expectPassCorrect(Pipe, P);
+  expectPassesCorrect(P, {&Pipe});
 }
 
 TEST(SimplifyCfgTest, PreservesBehaviorOnConcurrentProgram) {
@@ -81,7 +81,7 @@ TEST(SimplifyCfgTest, PreservesBehaviorOnConcurrentProgram) {
              block 1: v := x.na; print(v); ret;
              block 2: print(-1); ret; }
     thread f; thread g;)");
-  expectPassCorrect(*createSimplifyCfg(), P);
+  expectPassesCorrect(P, {createSimplifyCfg().get()});
 }
 
 TEST(SimplifyCfgTest, EntryForwardingUpdatesEntry) {

@@ -26,7 +26,7 @@ TEST(StoreElimTest, EliminatesOverwrittenStore) {
   const BasicBlock &B = firstFunction(T).block(0);
   EXPECT_TRUE(B.instructions()[0].isSkip());
   EXPECT_TRUE(B.instructions()[1].isStore());
-  EXPECT_TRUE(expectPassCorrectAllEngines(*createStoreElim(), P));
+  expectPassesCorrect(P, {createStoreElim().get()});
 }
 
 TEST(StoreElimTest, CrossesRegisterOnlyInstructions) {
@@ -36,7 +36,7 @@ TEST(StoreElimTest, CrossesRegisterOnlyInstructions) {
                       x.na := r2; ret; } thread f;)");
   Program T = createStoreElim()->run(P);
   EXPECT_TRUE(firstFunction(T).block(0).instructions()[1].isSkip());
-  EXPECT_TRUE(expectPassCorrectAllEngines(*createStoreElim(), P));
+  expectPassesCorrect(P, {createStoreElim().get()});
 }
 
 TEST(StoreElimTest, InterveningLoadKeepsStore) {
@@ -85,7 +85,7 @@ TEST(StoreElimTest, PrivateStoreDiesAcrossReleaseBoundaries) {
   Program T = createStoreElim()->run(P);
   EXPECT_TRUE(T.function(FuncId("f")).block(0).instructions()[0].isSkip())
       << printProgram(T);
-  EXPECT_TRUE(expectPassCorrectAllEngines(*createStoreElim(), P));
+  expectPassesCorrect(P, {createStoreElim().get()});
 }
 
 TEST(StoreElimTest, AcqFenceIsNoBoundary) {
@@ -94,7 +94,7 @@ TEST(StoreElimTest, AcqFenceIsNoBoundary) {
     func f { block 0: x.na := 1; fence.acq; x.na := 2; ret; } thread f;)");
   Program T = createStoreElim()->run(P);
   EXPECT_TRUE(firstFunction(T).block(0).instructions()[0].isSkip());
-  EXPECT_TRUE(expectPassCorrectAllEngines(*createStoreElim(), P));
+  expectPassesCorrect(P, {createStoreElim().get()});
 }
 
 TEST(StoreElimTest, CasIsABarrierEvenForTheUnsafeTwin) {

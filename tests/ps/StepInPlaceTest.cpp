@@ -6,7 +6,7 @@
 ///
 /// stepInPlace and enumerateProgramSteps must be one step relation: at every
 /// reachable state of every litmus test and a random-program sweep (with
-/// promises on and off, and fence programs under TrackAcqView), for every
+/// promises on and off, and fence programs under acquire-view tracking), for every
 /// thread,
 ///
 ///  * when stepInPlace fires, its state and event equal the single
@@ -46,11 +46,11 @@ void checkThread(const Machine &M, const MachineState &S, Tid T, Tally &N) {
   const Program &P = M.program();
   const ThreadState &TS = S.Threads[T];
   std::vector<ThreadSuccessor> Steps;
-  enumerateProgramSteps(P, T, TS, S.Mem, Steps, M.config());
+  enumerateProgramSteps(P, T, TS, S.Mem, Steps, M.tracksAcqView());
 
   ThreadState InPlace = TS;
   ThreadEvent Ev;
-  bool Fired = stepInPlace(P, T, InPlace, S.Mem, Ev, M.config());
+  bool Fired = stepInPlace(P, T, InPlace, S.Mem, Ev, M.tracksAcqView());
   bool Deterministic = Steps.size() == 1 && !Steps[0].Abort &&
                        Steps[0].Mem == S.Mem && coveredKind(P, TS);
   if (Fired) {

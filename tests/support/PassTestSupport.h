@@ -6,8 +6,8 @@
 ///
 /// \file
 /// Helpers shared across the test tree (the psopt_test_support interface
-/// library): the Def 6.4 pass-correctness check used by every optimizer
-/// test, and small file/program conveniences the fuzzer and CLI tests
+/// library): the one Def 6.4 pass-correctness check every optimizer test
+/// uses, and small file/program conveniences the fuzzer and CLI tests
 /// need too.
 ///
 //===----------------------------------------------------------------------===//
@@ -25,40 +25,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <fstream>
+#include <memory>
 #include <string>
 #include <vector>
 
 namespace psopt {
 
-/// Runs \p OptPass on \p Src and checks the full Def 6.4 contract:
-/// the target validates, refines the source, and (Lm 6.2) stays
-/// write-write race free when the source is.
-inline void expectPassCorrect(const Pass &OptPass, const Program &Src,
-                              const StepConfig &SC = StepConfig{}) {
-  Program Tgt = OptPass.run(Src);
-  EXPECT_TRUE(isValidProgram(Tgt))
-      << OptPass.name() << " produced invalid code:\n" << printProgram(Tgt);
-
-  BehaviorSet SrcB = exploreInterleaving(Src, SC);
-  BehaviorSet TgtB = exploreInterleaving(Tgt, SC);
-  ASSERT_TRUE(SrcB.Exhausted && TgtB.Exhausted) << "exploration cut off";
-  RefinementResult R = checkRefinement(TgtB, SrcB);
-  EXPECT_TRUE(R.Holds) << OptPass.name() << ": " << R.CounterExample
-                       << "\ntarget:\n" << printProgram(Tgt)
-                       << "\nsource behaviors:\n" << SrcB.str()
-                       << "target behaviors:\n" << TgtB.str();
-
-  RaceCheckResult SrcRace = checkWWRaceFreedom(Src, SC);
-  if (SrcRace.RaceFree) {
-    RaceCheckResult TgtRace = checkWWRaceFreedom(Tgt, SC);
-    EXPECT_TRUE(TgtRace.RaceFree)
-        << OptPass.name() << " broke ww-RF: "
-        << (TgtRace.Witness ? TgtRace.Witness->Description : std::string());
-  }
-}
-
-/// The engine matrix the property harness sweeps: jobs 1/8 × schedule
+/// The engine matrix every pass check sweeps: jobs 1/8 × schedule
 /// reduction on/off. All four must agree with each other on every
 /// BehaviorSet (DESIGN.md §7/§10), so a pass is only accepted when it
 /// refines under each of them.
@@ -74,42 +49,103 @@ inline std::vector<ExploreConfig> engineMatrix() {
   return Out;
 }
 
-/// expectPassCorrect, swept across the whole engine matrix: the Def 6.4
-/// refinement check must hold at jobs 1 and 8, with schedule reduction on
-/// and off. The ww-RF preservation leg runs once (it is engine-blind).
-/// Returns false when an exploration bound cut the check short — callers
-/// sweeping random programs count those, so coverage loss is never silent.
-inline bool expectPassCorrectAllEngines(const Pass &OptPass,
-                                        const Program &Src,
-                                        const StepConfig &SC = StepConfig{}) {
-  Program Tgt = OptPass.run(Src);
-  if (!isValidProgram(Tgt)) {
-    ADD_FAILURE() << OptPass.name() << " produced invalid code:\n"
-                  << printProgram(Tgt);
-    return true;
+/// "jobs=J reduce=on|off", for failure messages.
+inline std::string engineName(const ExploreConfig &EC) {
+  return "jobs=" + std::to_string(EC.Jobs) +
+         " reduce=" + (EC.Reduce ? "on" : "off");
+}
+
+/// Checks the full Def 6.4 contract of every pass in \p Passes on \p Src:
+/// each target validates, refines the source under every engineMatrix()
+/// configuration, and (Lm 6.2) stays write-write race free when the
+/// source is.
+///
+/// The source is explored once per configuration and race-checked once;
+/// every target is judged against those results. A target equal to its
+/// source holds by identity and is never explored, and passes producing
+/// equal targets share one check. Every exploration and race-free verdict
+/// must be exhaustive: a cut search fails the check rather than skipping
+/// it. Failure messages name the passes, the configuration, the source and
+/// the target.
+inline void expectPassesCorrect(const Program &Src,
+                                const std::vector<const Pass *> &Passes,
+                                const StepConfig &SC = StepConfig{}) {
+  struct Target {
+    Program Prog;
+    std::string PassNames; ///< every pass that produced Prog
+  };
+  std::vector<Target> Targets;
+  for (const Pass *OptPass : Passes) {
+    Program Tgt = OptPass->run(Src);
+    if (!isValidProgram(Tgt)) {
+      ADD_FAILURE() << OptPass->name() << " produced invalid code:\n"
+                    << printProgram(Tgt);
+      continue;
+    }
+    if (Tgt == Src)
+      continue;
+    auto Same = std::find_if(Targets.begin(), Targets.end(),
+                             [&](const Target &T) { return T.Prog == Tgt; });
+    if (Same != Targets.end())
+      Same->PassNames += std::string(", ") + OptPass->name();
+    else
+      Targets.push_back({std::move(Tgt), OptPass->name()});
   }
-  for (const ExploreConfig &EC : engineMatrix()) {
-    BehaviorSet SrcB = exploreInterleaving(Src, SC, EC);
-    BehaviorSet TgtB = exploreInterleaving(Tgt, SC, EC);
-    if (!SrcB.Exhausted || !TgtB.Exhausted)
-      return false; // bound hit — a behavior prefix proves nothing
-    RefinementResult R = checkRefinement(TgtB, SrcB);
-    EXPECT_TRUE(R.Holds) << OptPass.name() << " (jobs=" << EC.Jobs
-                         << " reduce=" << (EC.Reduce ? "on" : "off")
-                         << "): " << R.CounterExample << "\nsource:\n"
-                         << printProgram(Src) << "target:\n"
-                         << printProgram(Tgt);
-    if (!R.Holds)
-      return true; // one counterexample is enough; don't spam the log
+  if (Targets.empty())
+    return;
+
+  const std::vector<ExploreConfig> Matrix = engineMatrix();
+  std::vector<BehaviorSet> SrcB;
+  for (const ExploreConfig &EC : Matrix) {
+    SrcB.push_back(exploreInterleaving(Src, SC, EC));
+    ASSERT_TRUE(SrcB.back().Exhausted)
+        << "source exploration cut off (" << engineName(EC) << "):\n"
+        << printProgram(Src);
   }
   RaceCheckResult SrcRace = checkWWRaceFreedom(Src, SC);
-  if (SrcRace.RaceFree) {
-    RaceCheckResult TgtRace = checkWWRaceFreedom(Tgt, SC);
+  ASSERT_TRUE(SrcRace.Exact || !SrcRace.RaceFree)
+      << "source race check cut off:\n" << printProgram(Src);
+
+  for (const Target &T : Targets) {
+    const std::string Programs = "\nsource:\n" + printProgram(Src) +
+                                 "target:\n" + printProgram(T.Prog);
+    for (std::size_t I = 0; I < Matrix.size(); ++I) {
+      BehaviorSet TgtB = exploreInterleaving(T.Prog, SC, Matrix[I]);
+      std::string Why;
+      if (!TgtB.Exhausted)
+        Why = "target exploration cut off";
+      else if (RefinementResult R = checkRefinement(TgtB, SrcB[I]); !R.Holds)
+        Why = R.CounterExample;
+      if (!Why.empty()) {
+        ADD_FAILURE() << T.PassNames << " (" << engineName(Matrix[I])
+                      << "): " << Why << Programs;
+        break; // one counterexample is enough; don't spam the log
+      }
+    }
+    if (!SrcRace.RaceFree)
+      continue; // Def 6.4 asks nothing of racy sources
+    RaceCheckResult TgtRace = checkWWRaceFreedom(T.Prog, SC);
+    EXPECT_TRUE(TgtRace.Exact || !TgtRace.RaceFree)
+        << T.PassNames << ": target race check cut off" << Programs;
     EXPECT_TRUE(TgtRace.RaceFree)
-        << OptPass.name() << " broke ww-RF: "
-        << (TgtRace.Witness ? TgtRace.Witness->Description : std::string());
+        << T.PassNames << " broke ww-RF: "
+        << (TgtRace.Witness ? TgtRace.Witness->Description : std::string())
+        << Programs;
   }
-  return true;
+}
+
+/// Every pass in the refinement sweep (PassInfo::InRefinementSweep), in
+/// registry order.
+inline const std::vector<const Pass *> &verifiedPasses() {
+  static const std::vector<std::unique_ptr<Pass>> Owned =
+      createAllVerifiedPasses();
+  static const std::vector<const Pass *> Ptrs = [] {
+    std::vector<const Pass *> Out;
+    for (const std::unique_ptr<Pass> &P : Owned)
+      Out.push_back(P.get());
+    return Out;
+  }();
+  return Ptrs;
 }
 
 /// Generator shape for the pass property sweep: litmus-scale programs

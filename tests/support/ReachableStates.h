@@ -6,10 +6,11 @@
 ///
 /// \file
 /// The program set and the breadth-first state walk shared by the
-/// step-relation property tests (tests/ps/StepInPlaceTest.cpp) and the
-/// canonical-by-construction test (tests/explore/CanonicalTest.cpp): every
+/// step-relation property tests (tests/ps/StepInPlaceTest.cpp,
+/// MemoryModelTest's acquire-view check) and the canonical-by-construction
+/// test (tests/explore/CanonicalTest.cpp): every
 /// litmus test under its suggested config, plus seeded random programs
-/// with promises on and off, fences (so machines switch TrackAcqView on),
+/// with promises on and off, fences (so machines track the acquire view),
 /// branches, loops and CAS.
 ///
 //===----------------------------------------------------------------------===//
