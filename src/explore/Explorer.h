@@ -13,11 +13,19 @@
 /// path-dependent — memoized globally, so each pair is visited once. Both
 /// halves are interned per explore() call: canonical states in a state
 /// table, traces in a hash-consed trie (explore/TraceTrie.h), so a node is
-/// two ids. Everything an expansion computes except the trace bookkeeping
-/// (successors, the reducer's fused chain, projection, canonicalization)
-/// depends on the state alone, so it is computed once per state, the
-/// first time any node reaches it, and every later node with that state
-/// only follows the stored edges under its own trace. For a finite-control
+/// two ids. The state table keys a state by component ids: each distinct
+/// thread state and each distinct (location, message list) is stored once
+/// per call in a hash-consing pool, and a state's key is (Cur,
+/// SwitchAllowed) plus one pool id per thread and per location. A child
+/// reuses its parent's id for every component it shares with the parent,
+/// so only the components a step changed probe a pool. A state's full
+/// MachineState is kept only until the state is expanded; an expanded
+/// entry is its key and its edges. Everything an expansion computes
+/// except the trace bookkeeping (successors, the reducer's fused chain,
+/// projection, canonicalization) depends on the state alone, so it is
+/// computed once per state, the first time any node reaches it, and every
+/// later node with that state only follows the stored edges under its own
+/// trace. For a finite-control
 /// program with bounded promises the graph is finite thanks to timestamp
 /// canonicalization; spinning loops revisit canonical states and
 /// terminate the search. The bounds below are safety nets whose violation

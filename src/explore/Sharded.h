@@ -7,11 +7,12 @@
 /// \file
 /// The striping shared by every table the search workers write
 /// concurrently: ParallelBfs's visited table, the explorer's state table
-/// and the trace trie (explore/TraceTrie.h). A table is split into
-/// parallelBfsShardCount(Jobs) shards, each a container behind its own
-/// mutex, and an element's shard is picked by the *high* bits of its
-/// finalized hash. unordered containers place buckets by the low bits, so
-/// striping does not correlate with bucket placement inside a shard.
+/// and its two component pools, and the trace trie (explore/TraceTrie.h).
+/// A table is split into parallelBfsShardCount(Jobs) shards, each a
+/// container behind its own mutex, and an element's shard is picked by
+/// the *high* bits of its finalized hash. unordered containers place
+/// buckets by the low bits, so striping does not correlate with bucket
+/// placement inside a shard.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -43,11 +43,13 @@ struct MachineState {
   bool SwitchAllowed = true;
 
   bool operator==(const MachineState &O) const {
-    // Visited-set probes hash both sides before comparing (the probe key on
-    // lookup, the resident key on insert), so two already-computed unequal
-    // memos refute equality without touching Threads/Mem at all; equal or
-    // missing memos fall through to the full compare, where COW-shared
-    // memory lists short-circuit by pointer identity.
+    // The value-keyed visited sets (the race checker's and witness
+    // search's; the explorer keys states by component ids instead) hash
+    // both sides before comparing (the probe key on lookup, the resident
+    // key on insert), so two already-computed unequal memos refute
+    // equality without touching Threads/Mem at all; equal or missing memos
+    // fall through to the full compare, where COW-shared memory lists
+    // short-circuit by pointer identity.
     std::size_t HA = HashCache.get(), HB = O.HashCache.get();
     if (HA != 0 && HB != 0 && HA != HB)
       return false;

@@ -14,8 +14,11 @@
 ///    eight workers, on both machines, for every run that exhausts a
 ///    2000-node budget: the
 ///    machine's successor relation runs exactly once per state that needs
-///    it, UniqueStates counts the distinct states, and the per-node
-///    counters (nodes, transitions, reduction.*) match the reference;
+///    it, UniqueStates counts the distinct states, the per-node counters
+///    (nodes, transitions, reduction.*) match the reference, and the
+///    component pools hold exactly the distinct thread states and
+///    (location, message list) contents of the reachable states
+///    (explore.pooled_threads, explore.pooled_lists);
 ///  * the MaxOuts cut is decided per node, not per state;
 ///  * the trace trie: equal traces share an id, and materialization
 ///    restores the trace, also under concurrent interning.
@@ -32,6 +35,7 @@
 #include "lang/Parser.h"
 #include "nps/NPMachine.h"
 #include "support/ReachableStates.h"
+#include "support/Statistic.h"
 
 #include <gtest/gtest.h>
 
@@ -41,6 +45,7 @@
 #include <set>
 #include <thread>
 #include <unordered_map>
+#include <unordered_set>
 
 namespace psopt {
 namespace {
@@ -62,6 +67,22 @@ struct Reference {
   std::uint64_t Nodes = 0, Transitions = 0;
   std::uint64_t States = 0, FullExpansions = 0;
   std::uint64_t AmpleNodes = 0, FusedSteps = 0, SleepSkips = 0;
+  std::uint64_t DistinctThreads = 0, DistinctLists = 0;
+};
+
+struct ThreadStateHash {
+  std::size_t operator()(const ThreadState &TS) const { return TS.hash(); }
+};
+
+using LocContent = std::pair<VarId, MessageList>;
+
+struct LocContentHash {
+  std::size_t operator()(const LocContent &L) const {
+    std::size_t Seed = L.first.raw();
+    for (const Message &M : L.second)
+      hashCombine(Seed, M.hash());
+    return Seed;
+  }
 };
 
 /// A breadth-first search over (state, trace) values that expands every
@@ -139,8 +160,16 @@ std::optional<Reference> referenceSearch(const Machine &M, bool Reduce,
     }
   }
   R.States = Facts.size();
-  for (const auto &[S, F] : Facts)
+  std::unordered_set<ThreadState, ThreadStateHash> Threads;
+  std::unordered_set<LocContent, LocContentHash> Lists;
+  for (const auto &[S, F] : Facts) {
     R.FullExpansions += !F.Done && F.Chain.Len == 0;
+    Threads.insert(S.Threads.begin(), S.Threads.end());
+    for (const Memory::Loc &L : S.Mem.storage())
+      Lists.emplace(L.var(), L.messages());
+  }
+  R.DistinctThreads = Threads.size();
+  R.DistinctLists = Lists.size();
   return R;
 }
 
@@ -163,6 +192,10 @@ void expectEachStateExpandedOnce(const NamedProgram &NP, const StepConfig &SC,
   std::uint64_t Ample0 = detail::numReductionAmpleNodes().value();
   std::uint64_t Fused0 = detail::numReductionFusedSteps().value();
   std::uint64_t Skips0 = detail::numReductionSleepSkips().value();
+  const Statistic &PooledThreads = *findStatistic("explore", "pooled_threads");
+  const Statistic &PooledLists = *findStatistic("explore", "pooled_lists");
+  std::uint64_t Threads0 = PooledThreads.value();
+  std::uint64_t Lists0 = PooledLists.value();
   BehaviorSet B = explore(M, C);
   if (!B.Exhausted)
     return;
@@ -177,6 +210,8 @@ void expectEachStateExpandedOnce(const NamedProgram &NP, const StepConfig &SC,
   EXPECT_EQ(detail::numReductionAmpleNodes().value() - Ample0, R->AmpleNodes);
   EXPECT_EQ(detail::numReductionFusedSteps().value() - Fused0, R->FusedSteps);
   EXPECT_EQ(detail::numReductionSleepSkips().value() - Skips0, R->SleepSkips);
+  EXPECT_EQ(PooledThreads.value() - Threads0, R->DistinctThreads);
+  EXPECT_EQ(PooledLists.value() - Lists0, R->DistinctLists);
   ++Totals.Checked;
   Totals.Nodes += B.NodesVisited;
   Totals.Calls += Calls;
