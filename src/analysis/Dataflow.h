@@ -31,42 +31,6 @@
 
 namespace psopt {
 
-/// Solves a forward problem. \p Boundary is the fact at the function entry;
-/// \p Join merges facts (in-place into its first argument, returning true
-/// when it changed); \p TransferBlock maps a block-entry fact to the
-/// block-exit fact.
-///
-/// Returns block-entry facts for every reachable block.
-template <typename Fact, typename JoinFn, typename TransferFn>
-std::map<BlockLabel, Fact> solveForward(const Function &F, const Cfg &G,
-                                        Fact Boundary, JoinFn Join,
-                                        TransferFn TransferBlock) {
-  std::map<BlockLabel, Fact> In;
-  In.emplace(G.entry(), std::move(Boundary));
-
-  std::deque<BlockLabel> Work(G.rpo().begin(), G.rpo().end());
-  std::set<BlockLabel> InWork(Work.begin(), Work.end());
-  while (!Work.empty()) {
-    BlockLabel L = Work.front();
-    Work.pop_front();
-    InWork.erase(L);
-    auto InIt = In.find(L);
-    if (InIt == In.end())
-      continue; // Not yet reached; a predecessor will enqueue it.
-    if (!F.hasBlock(L))
-      continue; // Dangling branch target (the validator's concern; the
-                // machine aborts there): no out-edges to propagate.
-    Fact Out = TransferBlock(L, F.block(L), InIt->second);
-    for (BlockLabel S : G.successors(L)) {
-      auto [SIt, Inserted] = In.emplace(S, Out);
-      bool Changed = Inserted || Join(SIt->second, Out);
-      if (Changed && InWork.insert(S).second)
-        Work.push_back(S);
-    }
-  }
-  return In;
-}
-
 /// Solves a forward problem whose transfer is *edge-sensitive*: a branch
 /// may push different facts down its then- and else-edges (e.g. "the flag
 /// is confirmed non-zero" only on the taken edge of `be r, L1, L2`).
@@ -103,6 +67,26 @@ std::map<BlockLabel, Fact> solveForwardEdges(const Function &F, const Cfg &G,
     }
   }
   return In;
+}
+
+/// Solves a forward problem. \p Boundary is the fact at the function entry;
+/// \p Join merges facts (in-place into its first argument, returning true
+/// when it changed); \p TransferBlock maps a block-entry fact to the
+/// block-exit fact, which every CFG successor receives. Returns
+/// block-entry facts for every reachable block.
+template <typename Fact, typename JoinFn, typename TransferFn>
+std::map<BlockLabel, Fact> solveForward(const Function &F, const Cfg &G,
+                                        Fact Boundary, JoinFn Join,
+                                        TransferFn TransferBlock) {
+  return solveForwardEdges(
+      F, G, std::move(Boundary), Join,
+      [&](BlockLabel L, const BasicBlock &B, const Fact &In) {
+        Fact Out = TransferBlock(L, B, In);
+        std::vector<std::pair<BlockLabel, Fact>> Edges;
+        for (BlockLabel S : G.successors(L))
+          Edges.emplace_back(S, Out);
+        return Edges;
+      });
 }
 
 /// Solves a backward problem. \p Boundary is the fact after `ret`;

@@ -32,9 +32,9 @@
 /// Hence equal memories give equal timestamp sets, and the parent's
 /// renaming — the identity, since the parent is canonical — is the
 /// child's too. Nothing here depends on which machine took the step or on
-/// whether the explorer reduces, so every search (explorer, race checker,
-/// witness search and replay) canonicalizes successors through the one
-/// helper and calls canonicalizeState directly only on root states.
+/// whether the explorer reduces, so the shared state graph
+/// (explore/StateGraph.h) and the witness replays canonicalize successors
+/// through the one helper and call canonicalizeState only on root states.
 ///
 /// Property-tested in tests/explore/CanonicalTest.cpp: idempotence, order
 /// preservation, step-commutation on random programs, and the

@@ -10,37 +10,19 @@
 /// (interleaving or non-preemptive) and collects its BehaviorSet.
 ///
 /// Nodes are (state, trace) pairs — traces matter because behaviors are
-/// path-dependent — memoized globally, so each pair is visited once. Both
-/// halves are interned per explore() call: canonical states in a state
-/// table, traces in a hash-consed trie (explore/TraceTrie.h), so a node is
-/// two ids. The state table keys a state by component ids: each distinct
-/// thread state and each distinct (location, message list) is stored once
-/// per call in a hash-consing pool, and a state's key is (Cur,
-/// SwitchAllowed) plus one pool id per thread and per location. A child
-/// reuses its parent's id for every component it shares with the parent,
-/// so only the components a step changed probe a pool. A state's full
-/// MachineState is kept only until the state is expanded; an expanded
-/// entry is its key and its edges. Everything an expansion computes
-/// except the trace bookkeeping (successors, the reducer's fused chain,
-/// projection, canonicalization) depends on the state alone, so it is
-/// computed once per state, the first time any node reaches it, and every
-/// later node with that state only follows the stored edges under its own
-/// trace. For a finite-control
-/// program with bounded promises the graph is finite thanks to timestamp
-/// canonicalization; spinning loops revisit canonical states and
-/// terminate the search. The bounds below are safety nets whose violation
-/// flips BehaviorSet::Exhausted to false.
+/// path-dependent — memoized globally, so each pair is visited once. A
+/// node is two ids: a state entry of the interned state graph
+/// (explore/StateGraph.h), expanded once however many nodes reach it, and
+/// a trace entry of a hash-consed trie (explore/TraceTrie.h). For a
+/// finite-control program with bounded promises the graph is finite thanks
+/// to timestamp canonicalization. The bounds below are safety nets whose
+/// violation flips BehaviorSet::Exhausted to false.
 ///
-/// Exploration is embarrassingly order-independent: because the visited
-/// set deduplicates exactly and BehaviorSet stores ordered sets, any
-/// schedule of node expansions that covers the reachable graph yields the
-/// same BehaviorSet. The one search engine, a ParallelBfs worker pool
-/// (explore/ParallelBfs.h), exploits this: each worker accumulates private
-/// sets of trace ids, which are materialized into the BehaviorSet once
-/// the pool joins. With ExploreConfig::Jobs == 1 the pool runs on the
-/// calling thread and spawns nothing. When a bound trips, Exhausted is
-/// false at every worker count and the sets are (possibly different)
-/// under-approximations; NodesVisited is still exactly MaxNodes. See
+/// The search is a ParallelBfs worker pool (explore/ParallelBfs.h); each
+/// worker accumulates private sets of trace ids, materialized into the
+/// BehaviorSet once the pool joins, so every worker count yields the same
+/// BehaviorSet on exhausted runs. When a bound trips, Exhausted is false
+/// at every worker count and NodesVisited is exactly MaxNodes. See
 /// DESIGN.md §7.
 ///
 //===----------------------------------------------------------------------===//

@@ -5,13 +5,13 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The one state-space search engine: a worker pool expands nodes from
+/// The parallel search engine: a worker pool expands nodes from
 /// per-worker deques with stealing, deduplicating through a sharded,
-/// striped-lock visited table (explore/Sharded.h). Both the explorer
-/// (nodes are (state entry, trace entry) id pairs) and the race checker
-/// (nodes are bare machine states) instantiate it. With one worker the
-/// search runs on the calling thread, spawns nothing, and keeps a single
-/// unsharded visited table.
+/// striped-lock visited table (explore/Sharded.h). The explorer (nodes are
+/// (state entry, trace entry) id pairs) and the race checker (nodes are
+/// state entries, explore/StateGraph.h) instantiate it. With one worker
+/// the search runs on the calling thread, spawns nothing, and keeps a
+/// single unsharded visited table.
 ///
 /// Guarantees:
 ///  * each unique node (under HashT/operator==) is visited exactly once;

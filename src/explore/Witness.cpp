@@ -6,11 +6,10 @@
 
 #include "explore/Witness.h"
 #include "explore/Canonical.h"
-#include "support/Hashing.h"
+#include "explore/StateGraph.h"
 
 #include <algorithm>
-#include <deque>
-#include <unordered_set>
+#include <set>
 
 namespace psopt {
 
@@ -22,132 +21,90 @@ std::string Witness::str() const {
   return Out;
 }
 
-namespace {
-
-/// A (canonical state, output trace) node of the witness search. Traces
-/// are part of the identity because behaviors are path-dependent: the same
-/// machine state reached after different prints leads to different traces.
-struct ExploreNode {
-  MachineState State; // canonical
-  Trace Outs;
-
-  bool operator==(const ExploreNode &O) const {
-    return Outs == O.Outs && State == O.State;
-  }
-};
-
-struct ExploreNodeHash {
-  std::size_t operator()(const ExploreNode &N) const {
-    std::size_t Seed = N.State.hash();
-    for (Val V : N.Outs)
-      hashCombineValue(Seed, V);
-    return hashFinalize(Seed);
-  }
-};
-
-/// An explore node plus the parent link the reconstruction follows.
-struct SearchNode {
-  ExploreNode Node;
-  std::int64_t Parent = -1;
-  WitnessStep Step;
-};
-
-/// The visited set holds pointers into the arena, compared as the explore
-/// nodes they point to.
-struct NodeRefHash {
-  std::size_t operator()(const ExploreNode *N) const {
-    return ExploreNodeHash{}(*N);
-  }
-};
-
-struct NodeRefEq {
-  bool operator()(const ExploreNode *A, const ExploreNode *B) const {
-    return *A == *B;
-  }
-};
-
-} // namespace
-
-std::optional<Witness> findWitness(const Machine &M, const Trace &Outs,
-                                   Behavior::End Ending,
-                                   const ExploreConfig &C) {
+WitnessResult findWitness(const Machine &M, const Trace &Outs,
+                          Behavior::End Ending, const ExploreConfig &C) {
+  WitnessResult R;
   if (!M.initial())
-    return std::nullopt;
+    return R;
 
-  // Arena of nodes; the visited set stores pointers into it.
-  std::deque<SearchNode> Arena;
-  std::unordered_set<const ExploreNode *, NodeRefHash, NodeRefEq> Visited;
-  std::deque<std::int64_t> Work;
-
-  auto Reconstruct = [&](std::int64_t Idx, Behavior::End End) {
-    Witness W;
-    W.Observed.Outs = Arena[Idx].Node.Outs;
-    W.Observed.Ending = End;
-    std::vector<WitnessStep> Rev;
-    for (std::int64_t I = Idx; Arena[I].Parent >= 0; I = Arena[I].Parent)
-      Rev.push_back(Arena[I].Step);
-    W.Steps.assign(Rev.rbegin(), Rev.rend());
-    return W;
+  /// A node: a state entry and how many values of the requested trace
+  /// were printed on the way there, plus the parent link the schedule is
+  /// rebuilt from.
+  struct SearchNode {
+    StateEntry *State; ///< null for a final abort step
+    std::size_t Printed;
+    std::size_t Parent;  ///< arena index; the root is its own parent
+    std::size_t EdgeIdx; ///< the parent's edge that led here
   };
 
-  SearchNode Start;
-  Start.Node.State = *M.initial();
-  canonicalizeState(Start.Node.State);
-  Arena.push_back(std::move(Start));
-  Work.push_back(0);
+  StateGraph States(M, nullptr, 1);
+  ExpandScratch Scratch;
+  // The arena doubles as the FIFO queue: nodes are appended once, when
+  // first reached, and visited in order, so the path found is shortest.
+  std::vector<SearchNode> Arena{{&States.root(Scratch), 0, 0, 0}};
+  std::set<std::pair<StateEntry *, std::size_t>> Seen{{Arena[0].State, 0}};
 
-  std::vector<MachineSuccessor> Succs;
-  while (!Work.empty()) {
-    std::int64_t Idx = Work.front();
-    Work.pop_front();
-    if (!Visited.insert(&Arena[Idx].Node).second)
+  // The witness ending at node Idx: the edge indices along the parent
+  // links, replayed forward through Machine::successors (the search is
+  // unreduced, so edge i is successor i).
+  auto Found = [&](std::size_t Idx) {
+    std::vector<std::size_t> Path;
+    for (std::size_t I = Idx; I != 0; I = Arena[I].Parent)
+      Path.push_back(Arena[I].EdgeIdx);
+    R.emplace(Witness{{}, Behavior{Outs, Ending}});
+    MachineState S = *M.initial();
+    canonicalizeState(S);
+    std::vector<MachineSuccessor> Succs;
+    for (auto It = Path.rbegin(); It != Path.rend(); ++It) {
+      M.successors(S, Succs);
+      MachineSuccessor &Succ = Succs[*It];
+      R->Steps.push_back(WitnessStep{Succ.Ev.Thread, Succ.Ev.ThreadEv});
+      if (Succ.Ev.K == MachineEvent::Kind::Abort)
+        break; // only ever the last step
+      canonicalizeSuccessor(Succ.State, S);
+      S = std::move(Succ.State);
+    }
+    return R;
+  };
+
+  for (std::size_t Idx = 0; Idx < Arena.size(); ++Idx) {
+    if (Idx == C.MaxNodes) {
+      R.Bounded = true;
+      return R;
+    }
+    const SearchNode Cur = Arena[Idx]; // the arena grows below
+    bool AtEnd = Cur.Printed == Outs.size();
+    if (Ending == Behavior::End::Partial && AtEnd)
+      return Found(Idx);
+
+    const Expansion &X = States.expand(*Cur.State, Scratch);
+    if (X.Done) {
+      if (Ending == Behavior::End::Done && AtEnd)
+        return Found(Idx);
       continue;
-    if (Visited.size() > C.MaxNodes)
-      return std::nullopt;
-
-    // The arena grows below; deque references survive push_back.
-    const ExploreNode &Cur = Arena[Idx].Node;
-
-    if (Ending == Behavior::End::Partial && Cur.Outs == Outs)
-      return Reconstruct(Idx, Behavior::End::Partial);
-    if (Ending == Behavior::End::Done && Cur.State.allTerminated() &&
-        Cur.Outs == Outs)
-      return Reconstruct(Idx, Behavior::End::Done);
-    if (Cur.State.allTerminated())
-      continue;
-
-    M.successors(Cur.State, Succs);
-    for (MachineSuccessor &S : Succs) {
-      if (S.Ev.K == MachineEvent::Kind::Abort) {
-        if (Ending == Behavior::End::Abort && Cur.Outs == Outs) {
-          // Append the aborting step itself.
-          SearchNode N;
-          N.Node = Cur;
-          N.Parent = Idx;
-          N.Step = WitnessStep{S.Ev.Thread, S.Ev.ThreadEv};
-          Arena.push_back(std::move(N));
-          return Reconstruct(static_cast<std::int64_t>(Arena.size()) - 1,
-                             Behavior::End::Abort);
-        }
-        continue;
-      }
-      SearchNode N;
-      N.Node.State = std::move(S.State);
-      canonicalizeSuccessor(N.Node.State, Cur.State);
-      N.Node.Outs = Cur.Outs;
-      if (S.Ev.K == MachineEvent::Kind::Out) {
-        if (Cur.Outs.size() >= Outs.size() ||
-            Outs[Cur.Outs.size()] != S.Ev.OutVal)
+    }
+    for (std::size_t I = 0; I < X.Edges.size(); ++I) {
+      const Edge &E = X.Edges[I];
+      std::size_t Printed = Cur.Printed;
+      switch (E.K) {
+      case MachineEvent::Kind::Abort:
+        if (Ending != Behavior::End::Abort || !AtEnd)
+          continue;
+        Arena.push_back({nullptr, Printed, Idx, I});
+        return Found(Arena.size() - 1);
+      case MachineEvent::Kind::Out:
+        if (AtEnd || Outs[Printed] != E.Out)
           continue; // Only follow the requested trace.
-        N.Node.Outs.push_back(S.Ev.OutVal);
+        ++Printed;
+        break;
+      case MachineEvent::Kind::Tau:
+        break;
       }
-      N.Parent = Idx;
-      N.Step = WitnessStep{S.Ev.Thread, S.Ev.ThreadEv};
-      Arena.push_back(std::move(N));
-      Work.push_back(static_cast<std::int64_t>(Arena.size()) - 1);
+      if (Seen.insert({E.Child, Printed}).second)
+        Arena.push_back({E.Child, Printed, Idx, I});
     }
   }
-  return std::nullopt;
+  return R;
 }
 
 ReplayResult replayWitness(const Machine &M, const Witness &W) {

@@ -9,7 +9,9 @@
 /// producing a given observable behavior — the "why" behind a refinement
 /// counterexample. Used by the CLI (`psopt witness`) and by tests that
 /// want to assert not just that a behavior exists but how it arises
-/// (e.g. that LB's {1,1} outcome really does promise first).
+/// (e.g. that LB's {1,1} outcome really does promise first). The search
+/// uses the state-graph module of explore() and the race checker
+/// (explore/StateGraph.h), unreduced.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -42,13 +44,19 @@ struct Witness {
   std::string str() const;
 };
 
-/// Searches \p M for an execution with outputs \p Outs ending in
+/// findWitness's answer. No witness and not Bounded (the node bound cut
+/// the search first) means no such execution exists.
+struct WitnessResult : std::optional<Witness> {
+  bool Bounded = false;
+};
+
+/// Searches \p M for a shortest execution with outputs \p Outs ending in
 /// \p Ending (Done/Abort; Partial matches any reachable point with that
-/// output prefix). Returns nullopt when no such execution exists within
-/// \p C's bounds.
-std::optional<Witness> findWitness(const Machine &M, const Trace &Outs,
-                                   Behavior::End Ending,
-                                   const ExploreConfig &C = {});
+/// output prefix): a FIFO walk of the unreduced state graph
+/// (explore/StateGraph.h) over (state, printed prefix) nodes, of which
+/// \p C.MaxNodes are visited at most.
+WitnessResult findWitness(const Machine &M, const Trace &Outs,
+                          Behavior::End Ending, const ExploreConfig &C = {});
 
 /// Outcome of re-executing a stored witness schedule (replayWitness).
 struct ReplayResult {

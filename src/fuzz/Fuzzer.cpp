@@ -201,7 +201,10 @@ std::vector<std::string> randomPipeline(std::mt19937_64 &Rng) {
 std::string classifyWithWitness(const Program &Tgt, const Behavior &Cex,
                                 const Oracle &O) {
   InterleavingMachine M(Tgt, O.SC);
-  std::optional<Witness> W = findWitness(M, Cex.Outs, Cex.Ending, O.Seq);
+  WitnessResult W = findWitness(M, Cex.Outs, Cex.Ending, O.Seq);
+  if (W.Bounded)
+    return "witness: search bounded by MaxNodes before reaching the "
+           "counterexample";
   if (!W)
     return "witness: NOT FOUND for counterexample (unexpected)";
   ReplayResult R = replayWitness(M, *W);

@@ -43,13 +43,12 @@ struct MachineState {
   bool SwitchAllowed = true;
 
   bool operator==(const MachineState &O) const {
-    // The value-keyed visited sets (the race checker's and witness
-    // search's; the explorer keys states by component ids instead) hash
-    // both sides before comparing (the probe key on lookup, the resident
-    // key on insert), so two already-computed unequal memos refute
-    // equality without touching Threads/Mem at all; equal or missing memos
-    // fall through to the full compare, where COW-shared memory lists
-    // short-circuit by pointer identity.
+    // Value-keyed sets (only the tests' reference walks; every search
+    // interns states by component ids) hash both sides before comparing,
+    // so two already-computed unequal memos refute equality without
+    // touching Threads/Mem at all; equal or missing memos fall through to
+    // the full compare, where COW-shared memory lists short-circuit by
+    // pointer identity.
     std::size_t HA = HashCache.get(), HB = O.HashCache.get();
     if (HA != 0 && HB != 0 && HA != HB)
       return false;

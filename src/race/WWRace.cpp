@@ -5,8 +5,8 @@
 //===----------------------------------------------------------------------===//
 
 #include "race/WWRace.h"
-#include "explore/Canonical.h"
 #include "explore/ParallelBfs.h"
+#include "explore/StateGraph.h"
 #include "nps/NPMachine.h"
 #include "support/Hashing.h"
 
@@ -43,18 +43,11 @@ std::optional<RaceWitness> stateHasWWRace(const Program &P,
   return std::nullopt;
 }
 
-namespace {
-
-struct StateHash {
-  std::size_t operator()(const MachineState &S) const { return S.hash(); }
-};
-
-} // namespace
-
-/// Race detection is trace-insensitive: the search memoizes on states
-/// alone. The pool stops as soon as any worker finds a witness; the verdict
-/// is the same at every worker count on unbounded runs because racy-state
-/// reachability does not depend on search order.
+/// Race detection is trace-insensitive: the search nodes are the entries
+/// of the state graph, and the predicate sees each full state inside its
+/// one expansion. The pool stops as soon as any worker finds a witness;
+/// the verdict is the same at every worker count on unbounded runs
+/// because racy-state reachability does not depend on search order.
 RaceCheckResult
 checkRaceFreedom(const Machine &M, const RaceCheckConfig &C,
                  const std::function<std::optional<RaceWitness>(
@@ -63,15 +56,25 @@ checkRaceFreedom(const Machine &M, const RaceCheckConfig &C,
   if (!M.initial())
     return R; // No execution, no race.
 
-  MachineState Start = *M.initial();
-  canonicalizeState(Start);
-
-  ParallelBfs<MachineState, StateHash> Engine(C.Jobs, C.MaxNodes);
+  struct EntryHash {
+    std::size_t operator()(const StateEntry *E) const {
+      return hashFinalize(reinterpret_cast<std::uintptr_t>(E));
+    }
+  };
+  ParallelBfs<StateEntry *, EntryHash> Engine(C.Jobs, C.MaxNodes);
+  StateGraph States(M, nullptr, Engine.jobs());
+  std::vector<ExpandScratch> Scratch(Engine.jobs());
   std::mutex WitnessMutex;
-  std::vector<std::vector<MachineSuccessor>> SuccBufs(Engine.jobs());
 
-  auto Visit = [&](unsigned W, const MachineState &S, auto &&Push) {
-    if (auto Witness = Predicate(M.program(), S)) {
+  auto Visit = [&](unsigned W, StateEntry *E, auto &&Push) {
+    // The engine visits each entry once, so this visit expands it.
+    std::optional<RaceWitness> Witness;
+    const Expansion &X =
+        States.expand(*E, Scratch[W], [&](const MachineState &S) {
+          Witness = Predicate(M.program(), S);
+          return !Witness;
+        });
+    if (Witness) {
       std::lock_guard<std::mutex> Lock(WitnessMutex);
       if (!R.Witness) {
         R.RaceFree = false;
@@ -80,17 +83,12 @@ checkRaceFreedom(const Machine &M, const RaceCheckConfig &C,
       Engine.stop();
       return;
     }
-    std::vector<MachineSuccessor> &Succs = SuccBufs[W];
-    M.successors(S, Succs);
-    for (MachineSuccessor &MS : Succs) {
-      if (MS.Ev.K == MachineEvent::Kind::Abort)
-        continue;
-      canonicalizeSuccessor(MS.State, S);
-      Push(std::move(MS.State));
-    }
+    for (const Edge &Step : X.Edges)
+      if (StateEntry *Child = Step.Child) // abort steps have no child
+        Push(std::move(Child));
   };
 
-  auto Stats = Engine.run(std::move(Start), Visit);
+  auto Stats = Engine.run(&States.root(Scratch[0]), Visit);
   R.StatesChecked = Stats.Expanded;
   // A found witness is a definite verdict even though the search stopped
   // early; only the node bound makes the answer approximate.

@@ -191,8 +191,9 @@ TEST(ParallelEquivalenceTest, RaceVerdictsMatchAcrossJobs) {
       RaceCheckResult R = checkWWRaceFreedom(T.Prog, T.SuggestedConfig(), Par);
       EXPECT_EQ(R.RaceFree, Base.RaceFree) << "jobs=" << K;
       EXPECT_EQ(R.Exact, Base.Exact) << "jobs=" << K;
-      if (Base.RaceFree) // full sweep: state counts must agree exactly
+      if (Base.RaceFree) { // full sweep: state counts must agree exactly
         EXPECT_EQ(R.StatesChecked, Base.StatesChecked) << "jobs=" << K;
+      }
     }
   }
 }

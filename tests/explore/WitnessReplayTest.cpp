@@ -16,6 +16,7 @@
 #include "explore/Explorer.h"
 #include "explore/Witness.h"
 #include "litmus/Litmus.h"
+#include "nps/NPMachine.h"
 
 #include <gtest/gtest.h>
 
@@ -26,9 +27,8 @@ namespace {
 /// entries don't dominate the suite's runtime.
 constexpr std::size_t MaxTracesPerKind = 4;
 
-void replayAll(const Program &P, const StepConfig &SC,
-               const std::set<Trace> &Traces, Behavior::End Ending) {
-  InterleavingMachine M(P, SC);
+void replayAll(const Machine &M, const std::set<Trace> &Traces,
+               Behavior::End Ending) {
   std::size_t Count = 0;
   for (const Trace &T : Traces) {
     if (++Count > MaxTracesPerKind)
@@ -50,8 +50,38 @@ TEST(WitnessReplayTest, AllLitmusBehaviors) {
     StepConfig SC = T.SuggestedConfig();
     BehaviorSet B = exploreInterleaving(T.Prog, SC);
     ASSERT_TRUE(B.Exhausted);
-    replayAll(T.Prog, SC, B.Done, Behavior::End::Done);
-    replayAll(T.Prog, SC, B.Abort, Behavior::End::Abort);
+    InterleavingMachine M(T.Prog, SC);
+    replayAll(M, B.Done, Behavior::End::Done);
+    replayAll(M, B.Abort, Behavior::End::Abort);
+  }
+}
+
+TEST(WitnessReplayTest, AllLitmusBehaviorsNonPreemptive) {
+  for (const LitmusTest &T : allLitmusTests()) {
+    SCOPED_TRACE(T.Name);
+    StepConfig SC = T.SuggestedConfig();
+    BehaviorSet B = exploreNonPreemptive(T.Prog, SC);
+    ASSERT_TRUE(B.Exhausted);
+    NonPreemptiveMachine M(T.Prog, SC);
+    replayAll(M, B.Done, Behavior::End::Done);
+    replayAll(M, B.Abort, Behavior::End::Abort);
+  }
+}
+
+TEST(WitnessReplayTest, AllLitmusPrefixesOnBothMachines) {
+  // A Partial witness stops right after the last requested print, which
+  // is never a thread's final step (ret follows), so the replay ends
+  // Partial too.
+  for (const LitmusTest &T : allLitmusTests()) {
+    SCOPED_TRACE(T.Name);
+    StepConfig SC = T.SuggestedConfig();
+    BehaviorSet Inter = exploreInterleaving(T.Prog, SC);
+    BehaviorSet NP = exploreNonPreemptive(T.Prog, SC);
+    ASSERT_TRUE(Inter.Exhausted && NP.Exhausted);
+    InterleavingMachine IM(T.Prog, SC);
+    NonPreemptiveMachine NM(T.Prog, SC);
+    replayAll(IM, Inter.Prefixes, Behavior::End::Partial);
+    replayAll(NM, NP.Prefixes, Behavior::End::Partial);
   }
 }
 

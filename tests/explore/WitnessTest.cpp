@@ -4,6 +4,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "explore/Explorer.h"
 #include "explore/Witness.h"
 #include "lang/Parser.h"
 #include "litmus/Litmus.h"
@@ -55,6 +56,27 @@ TEST(WitnessTest, ForbiddenTraceHasNoWitness) {
   SC.EnablePromises = true;
   InterleavingMachine M(T.Prog, SC);
   EXPECT_FALSE(findWitness(M, {1, 1}, Behavior::End::Done).has_value());
+}
+
+TEST(WitnessTest, NodeBoundIsReported) {
+  // A search cut by MaxNodes says so; an exhausted search that finds
+  // nothing does not.
+  const LitmusTest &T = litmus("mp_rel_acq");
+  InterleavingMachine M(T.Prog, T.SuggestedConfig());
+  BehaviorSet B = exploreInterleaving(T.Prog, T.SuggestedConfig());
+  ASSERT_FALSE(B.Done.empty());
+  const Trace &Outs = *B.Done.rbegin();
+  ExploreConfig Tight;
+  Tight.MaxNodes = 3;
+  WitnessResult Cut = findWitness(M, Outs, Behavior::End::Done, Tight);
+  EXPECT_FALSE(Cut.has_value());
+  EXPECT_TRUE(Cut.Bounded);
+  WitnessResult Full = findWitness(M, Outs, Behavior::End::Done);
+  EXPECT_TRUE(Full.has_value());
+  EXPECT_FALSE(Full.Bounded);
+  WitnessResult None = findWitness(M, {7, 7, 7}, Behavior::End::Done);
+  EXPECT_FALSE(None.has_value());
+  EXPECT_FALSE(None.Bounded);
 }
 
 TEST(WitnessTest, AbortWitness) {

@@ -79,10 +79,12 @@ TEST(ShrinkerTest, WeakensOrderingsAndDemotesCas) {
     for (const auto &[L, B] : Fn.blocks())
       for (const Instr &I : B.instructions()) {
         EXPECT_FALSE(I.isCas());
-        if (I.isLoad())
+        if (I.isLoad()) {
           EXPECT_NE(I.readMode(), ReadMode::ACQ);
-        if (I.isStore())
+        }
+        if (I.isStore()) {
           EXPECT_NE(I.writeMode(), WriteMode::REL);
+        }
       }
 }
 

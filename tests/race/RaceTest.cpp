@@ -10,10 +10,13 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "explore/Canonical.h"
 #include "lang/Parser.h"
 #include "litmus/Litmus.h"
+#include "nps/NPMachine.h"
 #include "race/RWRace.h"
 #include "race/WWRace.h"
+#include "support/ReachableStates.h"
 
 #include <gtest/gtest.h>
 
@@ -160,6 +163,73 @@ TEST(WWRaceTest, SimpleRaceWitness) {
   ASSERT_FALSE(R.RaceFree);
   ASSERT_TRUE(R.Witness.has_value());
   EXPECT_EQ(R.Witness->Var, VarId("x"));
+}
+
+// --- The race checker walks the explorer's state table. ------------------
+
+/// Number of canonical states reachable from \p M's initial state through
+/// non-abort steps, by a plain value-keyed walk (no state table), or
+/// \p Limit when the walk is cut.
+std::size_t reachableStateCount(const Machine &M, std::size_t Limit) {
+  MachineState Start = *M.initial();
+  canonicalizeState(Start);
+  std::vector<MachineSuccessor> Succs;
+  return forEachReachableState(
+      Start, Limit, [&](const MachineState &S, std::vector<MachineState> &Next) {
+        M.successors(S, Succs);
+        for (MachineSuccessor &Succ : Succs) {
+          if (Succ.Ev.K == MachineEvent::Kind::Abort)
+            continue;
+          canonicalizeState(Succ.State);
+          Next.push_back(std::move(Succ.State));
+        }
+      });
+}
+
+/// On every program of the step-property set (litmus registry plus random
+/// programs) that is race-free within 6000 states, the check visits each
+/// reachable state once, at one and at eight workers: StatesChecked
+/// equals the reference count.
+void expectRaceFreeChecksCoverReachableStates(
+    bool NonPreemptive,
+    std::optional<RaceWitness> (*Predicate)(const Program &,
+                                            const MachineState &)) {
+  constexpr std::size_t Limit = 6000;
+  unsigned RaceFree = 0, RandomRaceFree = 0;
+  for (const NamedProgram &NP : stepPropertyPrograms()) {
+    SCOPED_TRACE(NP.Name);
+    InterleavingMachine IM(NP.Prog, NP.Config);
+    NonPreemptiveMachine NM(NP.Prog, NP.Config);
+    const Machine &M = NonPreemptive ? static_cast<const Machine &>(NM) : IM;
+    if (!M.initial())
+      continue;
+    RaceCheckConfig C;
+    C.MaxNodes = Limit;
+    RaceCheckResult Seq = checkRaceFreedom(M, C, Predicate);
+    if (!Seq.RaceFree || !Seq.Exact)
+      continue; // racy, or too large to check exhaustively here
+    ++RaceFree;
+    RandomRaceFree += NP.Name.rfind("rand:", 0) == 0;
+    EXPECT_EQ(Seq.StatesChecked, reachableStateCount(M, Limit));
+    C.Jobs = 8;
+    RaceCheckResult Par = checkRaceFreedom(M, C, Predicate);
+    EXPECT_TRUE(Par.RaceFree && Par.Exact);
+    EXPECT_EQ(Par.StatesChecked, Seq.StatesChecked);
+  }
+  EXPECT_GT(RaceFree, 10u);
+  EXPECT_GT(RandomRaceFree, 0u);
+}
+
+TEST(RaceStateCountTest, WWRaceFreeInterleavingChecksEveryReachableState) {
+  expectRaceFreeChecksCoverReachableStates(false, stateHasWWRace);
+}
+
+TEST(RaceStateCountTest, WWRaceFreeNonPreemptiveChecksEveryReachableState) {
+  expectRaceFreeChecksCoverReachableStates(true, stateHasWWRace);
+}
+
+TEST(RaceStateCountTest, RWRaceFreeInterleavingChecksEveryReachableState) {
+  expectRaceFreeChecksCoverReachableStates(false, stateHasRWRace);
 }
 
 } // namespace

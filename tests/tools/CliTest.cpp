@@ -94,6 +94,19 @@ TEST(CliTest, RaceVerdicts) {
   EXPECT_NE(R2.Output.find("witness:"), std::string::npos);
 }
 
+TEST(CliTest, RaceRejectsRwOnNonPreemptiveMachine) {
+  // rw races are checked on the interleaving machine only; --np must not
+  // be dropped silently.
+  std::string P = writeTemp("cli_race_rw_np.psopt", MpProgram);
+  CliResult R = runCli("race --rw --np " + P);
+  EXPECT_EQ(R.ExitCode, 2);
+  EXPECT_NE(R.Output.find("--np"), std::string::npos);
+  EXPECT_EQ(R.Output.find("rw-race-"), std::string::npos);
+  CliResult Rw = runCli("race --rw " + P);
+  EXPECT_EQ(Rw.ExitCode, 0);
+  EXPECT_NE(Rw.Output.find("rw-race-free"), std::string::npos);
+}
+
 TEST(CliTest, LintCleanProgramExitsZero) {
   std::string P = writeTemp("cli_lint_clean.psopt", MpProgram);
   CliResult R = runCli("lint " + P);
@@ -180,6 +193,21 @@ TEST(CliTest, WitnessReconstructsExecution) {
   CliResult R2 = runCli("witness " + P + " --trace=0 --end=done");
   EXPECT_EQ(R2.ExitCode, 1);
   EXPECT_NE(R2.Output.find("no execution"), std::string::npos);
+}
+
+TEST(CliTest, WitnessReportsNodeBound) {
+  // A search cut by --max-nodes is not a proof that no execution exists:
+  // the 8-step [42] witness needs more than three nodes.
+  std::string P = writeTemp("cli_wit_bound.psopt", MpProgram);
+  CliResult R = runCli("witness " + P + " --trace=42 --end=done --max-nodes=3");
+  EXPECT_EQ(R.ExitCode, 1);
+  EXPECT_NE(R.Output.find("--max-nodes=3"), std::string::npos);
+  EXPECT_NE(R.Output.find("bounded"), std::string::npos);
+  EXPECT_EQ(R.Output.find("no execution with that behavior"),
+            std::string::npos);
+  CliResult Full = runCli("witness " + P + " --trace=42 --end=done");
+  EXPECT_EQ(Full.ExitCode, 0);
+  EXPECT_NE(Full.Output.find("out(42)"), std::string::npos);
 }
 
 TEST(CliTest, WitnessRejectsMalformedTrace) {

@@ -8,8 +8,10 @@
 //
 //   psopt explore  <file> [--np] [--no-promises] [--max-nodes=N] [--jobs=N]
 //       enumerate all behaviors (interleaving or non-preemptive machine)
-//   psopt race     <file> [--np] [--rw] [--no-promises] [--jobs=N]
-//       check write-write (or read-write) race freedom
+//   psopt race     <file> [--np] [--rw] [--no-promises] [--max-nodes=N]
+//                  [--jobs=N]
+//       check write-write (or read-write) race freedom; --rw runs on the
+//       interleaving machine only, so --rw --np is rejected
 //   psopt lint     <file> [--format=text|json]
 //       static diagnostics: race candidates, sync chains, mixed-mode
 //       atomics, dominated fences, never-read atomics
@@ -20,7 +22,9 @@
 //   psopt equiv    <file> [--no-promises] [--jobs=N]
 //       check interleaving ≈ non-preemptive (Thm 4.1) on one program
 //   psopt witness  <file> --trace=v1,v2,... [--end=done|abort|partial]
-//       reconstruct an execution producing the given outputs
+//                  [--np] [--no-promises] [--max-nodes=N]
+//                  [--cert-cache=on|off]
+//       reconstruct a shortest execution producing the given outputs
 //   psopt litmus   [name]
 //       run a registered litmus test (all names when omitted)
 //   psopt fuzz     [--seed=N] [--runs=N] [--jobs=N] [--passes=p1,p2,...]
@@ -31,11 +35,12 @@
 //
 // Flag parsing is table-driven: one FlagSpec per flag, one CommandSpec per
 // command naming the flags it accepts — a flag a command doesn't list is
-// rejected instead of silently ignored. explore/refine/equiv/fuzz accept
-// --cert-cache=on|off (default on) and --reduce=on|off (default on; see
-// DESIGN.md sections 10 and 13). The telemetry flags --stats,
-// --stats-format, --trace-out, --trace-jsonl and --progress are global:
-// every command accepts them (DESIGN.md §14).
+// rejected instead of silently ignored. Every exploring command accepts
+// --cert-cache=on|off (default on); explore/refine/equiv/fuzz also accept
+// --reduce=on|off (default on; see DESIGN.md sections 10 and 13), while
+// race and witness always walk the unreduced graph. The telemetry flags
+// --stats, --stats-format, --trace-out, --trace-jsonl and --progress are
+// global: every command accepts them (DESIGN.md §14).
 //
 //===----------------------------------------------------------------------===//
 
@@ -403,7 +408,7 @@ int usage() {
       "  explore  <file> [--np] [--no-promises] [--max-nodes=N] [--jobs=N]\n"
       "           [--cert-cache=on|off] [--reduce=on|off]\n"
       "  race     <file> [--np] [--rw] [--no-promises] [--max-nodes=N]\n"
-      "           [--jobs=N] [--cert-cache=on|off]\n"
+      "           [--jobs=N] [--cert-cache=on|off]  (--rw: interleaving only)\n"
       "  lint     <file> [--format=text|json]\n"
       "  optimize <file> --passes=%s\n"
       "           (also linv, and the intentionally unsound %s)\n",
@@ -415,6 +420,8 @@ int usage() {
       "  equiv    <file> [--no-promises] [--jobs=N] [--cert-cache=on|off]\n"
       "           [--reduce=on|off]\n"
       "  witness  <file> --trace=v1,v2,... [--end=done|abort|partial]\n"
+      "           [--np] [--no-promises] [--max-nodes=N]\n"
+      "           [--cert-cache=on|off]\n"
       "  litmus   [name]\n"
       "  fuzz     [--seed=N] [--runs=N] [--jobs=N] [--passes=p1,p2,...]\n"
       "           [--promises] [--no-shrink] [--no-differential]\n"
@@ -569,6 +576,11 @@ int cmdExplore(const Options &O) {
 }
 
 int cmdRace(const Options &O) {
+  if (O.RwRace && O.NonPreemptive) {
+    std::fprintf(stderr, "race: --rw has no non-preemptive checker; "
+                         "drop --np\n");
+    return 2;
+  }
   Program P;
   if (O.Positional.empty() || !loadProgram(O.Positional[0], P))
     return 2;
@@ -668,13 +680,19 @@ int cmdWitness(const Options &O) {
   ExploreConfig EC;
   EC.MaxNodes = O.MaxNodes;
   StepConfig SC = stepConfig(O);
-  std::optional<Witness> W;
+  WitnessResult W;
   if (O.NonPreemptive) {
     NonPreemptiveMachine M(P, SC);
     W = findWitness(M, O.TraceOuts, End, EC);
   } else {
     InterleavingMachine M(P, SC);
     W = findWitness(M, O.TraceOuts, End, EC);
+  }
+  if (W.Bounded) {
+    std::printf("no execution found within --max-nodes=%llu (search "
+                "bounded; raise --max-nodes)\n",
+                static_cast<unsigned long long>(O.MaxNodes));
+    return 1;
   }
   if (!W) {
     std::printf("no execution with that behavior\n");
