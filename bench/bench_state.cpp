@@ -14,8 +14,11 @@
 //   MemoryCopyMutate     — copy + single-location write: the COW round trip
 //                          every store successor performs;
 //   StateCopy            — copying a whole mid-workload MachineState;
-//   Canonicalize         — canonicalizing a derived successor (usually the
-//                          identity renaming fast path);
+//   Canonicalize         — canonicalizing a derived successor with the
+//                          full renaming (note, sort, identity test);
+//   CanonicalizeSuccessor — the same successors through
+//                          canonicalizeSuccessor, which scans only the
+//                          message lists the step changed;
 //   SuccessorEnumeration — full successor derivation from a mid-workload
 //                          state (items/sec = successors/sec).
 //
@@ -166,6 +169,26 @@ void BM_Canonicalize(benchmark::State &State) {
                           static_cast<std::int64_t>(Succs.size()));
 }
 BENCHMARK(BM_Canonicalize);
+
+void BM_CanonicalizeSuccessor(benchmark::State &State) {
+  Program P = generateScaleWorkload(midConfig());
+  StepConfig SC;
+  SC.EnablePromises = false;
+  InterleavingMachine M(P, SC);
+  MachineState S = walkedState(M, 40);
+  std::vector<MachineSuccessor> Succs;
+  M.successors(S, Succs);
+  for (auto _ : State) {
+    for (MachineSuccessor &Succ : Succs) {
+      MachineState C = Succ.State;
+      canonicalizeSuccessor(C, S);
+      benchmark::DoNotOptimize(C.hash());
+    }
+  }
+  State.SetItemsProcessed(State.iterations() *
+                          static_cast<std::int64_t>(Succs.size()));
+}
+BENCHMARK(BM_CanonicalizeSuccessor);
 
 void BM_SuccessorEnumeration(benchmark::State &State) {
   Program P = generateScaleWorkload(midConfig());

@@ -28,18 +28,20 @@ StateEntry &StateGraph::root(ExpandScratch &Scr) {
   if (Red)
     Red->project(Start);
   canonicalizeState(Start);
-  return intern(std::move(Start), nullptr, nullptr, Scr.KeyBuf);
+  return intern(std::move(Start), nullptr, nullptr, 0, true, Scr.KeyBuf);
 }
 
 StateEntry &StateGraph::intern(MachineState &&S, const MachineState *Parent,
-                               const StateKey *ParentKey,
+                               const StateKey *ParentKey, Tid Stepper,
+                               bool Renamed,
                                std::vector<std::uintptr_t> &Words) {
   const std::vector<ThreadState> &Ts = S.Threads;
   const std::vector<Memory::Loc> &Locs = S.Mem.storage();
-  // A step changes one thread and at most one location, so a child takes
-  // its parent's id for every component it still shares with the parent:
-  // a thread state equal to the parent's (memoized hashes first), a list
-  // that is the parent's allocation. Only the rest probe a pool.
+  // A step changes one thread and at most a few locations, so a child
+  // takes its parent's id for every component it still shares with the
+  // parent: every thread but the stepping one, unless canonicalizing the
+  // child renamed timestamps in them, and every list that is the parent's
+  // allocation. Only the rest probe a pool.
   if (Parent && (Parent->Threads.size() != Ts.size() ||
                  Parent->Mem.storage().size() != Locs.size()))
     Parent = nullptr;
@@ -47,8 +49,7 @@ StateEntry &StateGraph::intern(MachineState &&S, const MachineState *Parent,
   Words[0] = std::uintptr_t(S.Cur) << 1 | std::uintptr_t(S.SwitchAllowed);
   for (std::size_t T = 0; T < Ts.size(); ++T) {
     std::size_t W = 1 + T;
-    const ThreadState *P = Parent ? &Parent->Threads[T] : nullptr;
-    Words[W] = P && Ts[T].hash() == P->hash() && Ts[T] == *P
+    Words[W] = Parent && !Renamed && T != std::size_t(Stepper)
                    ? ParentKey->Words[W]
                    : idOf(Threads.intern(Ts[T]));
   }
@@ -106,8 +107,9 @@ void StateGraph::fill(const MachineState &S, const StateKey &Key,
     if (Succ.Ev.K != MachineEvent::Kind::Abort) {
       if (Red)
         Red->project(Succ.State);
-      canonicalizeSuccessor(Succ.State, S);
-      E.Child = &intern(std::move(Succ.State), &S, &Key, Scr.KeyBuf);
+      bool Renamed = canonicalizeSuccessor(Succ.State, S);
+      E.Child = &intern(std::move(Succ.State), &S, &Key, Succ.Ev.Thread,
+                        Renamed, Scr.KeyBuf);
     }
     X.Edges.push_back(E);
   }

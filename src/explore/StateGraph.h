@@ -214,10 +214,13 @@ private:
 
   /// The entry of canonical state \p S, created on first use (\p S is
   /// moved into it only then). \p Parent is the state \p S is a successor
-  /// of and \p ParentKey its key, or both null for a root. \p Words is the
+  /// of and \p ParentKey its key, or both null for a root; \p Stepper is
+  /// the thread whose step produced \p S and \p Renamed whether
+  /// canonicalizing it renamed anything (every other thread of an
+  /// unrenamed child is its parent's, unchecked). \p Words is the
   /// caller's scratch.
   StateEntry &intern(MachineState &&S, const MachineState *Parent,
-                     const StateKey *ParentKey,
+                     const StateKey *ParentKey, Tid Stepper, bool Renamed,
                      std::vector<std::uintptr_t> &Words);
 
   struct Shard {

@@ -16,8 +16,8 @@ namespace psopt {
 std::string Witness::str() const {
   std::string Out;
   for (const WitnessStep &S : Steps)
-    Out += "  " + S.str() + "\n";
-  Out += "  => " + Observed.str() + "\n";
+    Out.append("  ").append(S.str()).append("\n");
+  Out.append("  => ").append(Observed.str()).append("\n");
   return Out;
 }
 

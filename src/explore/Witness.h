@@ -32,7 +32,9 @@ struct WitnessStep {
   ThreadEvent Ev;
 
   std::string str() const {
-    return "t" + std::to_string(Thread) + ": " + Ev.str();
+    std::string Out = "t";
+    Out.append(std::to_string(Thread)).append(": ").append(Ev.str());
+    return Out;
   }
 };
 

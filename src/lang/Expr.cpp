@@ -242,8 +242,12 @@ std::string Expr::str() const {
     return std::to_string(CVal);
   case Kind::Reg:
     return R.str();
-  case Kind::Bin:
-    return "(" + L->str() + " " + binOpSpelling(Op) + " " + Rhs->str() + ")";
+  case Kind::Bin: {
+    std::string Out = "(";
+    Out.append(L->str()).append(" ").append(binOpSpelling(Op)).append(" ");
+    Out.append(Rhs->str()).append(")");
+    return Out;
+  }
   }
   PSOPT_UNREACHABLE("bad expression kind");
 }

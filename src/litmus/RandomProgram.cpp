@@ -14,15 +14,22 @@ namespace psopt {
 
 namespace {
 
+/// \p Prefix followed by \p I in decimal.
+std::string numbered(const char *Prefix, unsigned I) {
+  std::string Out = Prefix;
+  Out.append(std::to_string(I));
+  return Out;
+}
+
 /// Per-program generation state.
 class Generator {
 public:
   explicit Generator(const RandomProgramConfig &C)
       : C(C), Rng(C.Seed), History(C.NumThreads), LoadedRegs(C.NumThreads) {
     for (unsigned I = 0; I < C.NumNaVars; ++I)
-      NaVars.push_back(VarId("d" + std::to_string(I)));
+      NaVars.push_back(VarId(numbered("d", I)));
     for (unsigned I = 0; I < C.NumAtomicVars; ++I)
-      AtomicVars.push_back(VarId("a" + std::to_string(I)));
+      AtomicVars.push_back(VarId(numbered("a", I)));
   }
 
   Program generate() {
@@ -33,7 +40,7 @@ public:
     for (VarId A : AtomicVars)
       P.addAtomic(A);
     for (unsigned T = 0; T < C.NumThreads; ++T) {
-      FuncId Name("rt" + std::to_string(T));
+      FuncId Name(numbered("rt", T));
       P.setFunction(Name, generateThread(T));
       P.addThread(Name);
     }
@@ -47,7 +54,7 @@ private:
   bool coin() { return pick(2) == 0; }
 
   RegId reg(unsigned T, unsigned I) {
-    return RegId("q" + std::to_string(T) + "_" + std::to_string(I));
+    return RegId(numbered("q", T).append("_").append(std::to_string(I)));
   }
   RegId randomReg(unsigned T) { return reg(T, pick(C.NumRegs)); }
 
@@ -163,7 +170,7 @@ private:
       if (I % C.NumThreads == T)
         Owned.push_back(NaVars[I]);
     if (Owned.empty())
-      return VarId("dpriv" + std::to_string(T));
+      return VarId(numbered("dpriv", T));
     return Owned[pick(static_cast<unsigned>(Owned.size()))];
   }
 
@@ -203,8 +210,8 @@ private:
     FunctionBuilder FB;
     VarId D = NaVars[0];
     VarId A = AtomicVars[0];
-    RegId Flag = RegId("qflag" + std::to_string(T));
-    RegId Post = RegId("qpost" + std::to_string(T));
+    RegId Flag = RegId(numbered("qflag", T));
+    RegId Post = RegId(numbered("qpost", T));
     if (FenceMp) {
       // Fence-based reader: the relaxed flag read banks the published
       // view into Acq; the second acq fence publishes it into V. That
@@ -229,7 +236,7 @@ private:
       return FB.take();
     }
     if (C.AllowLoop && coin()) {
-      RegId Iter = RegId("qiter" + std::to_string(T));
+      RegId Iter = RegId(numbered("qiter", T));
       FB.startBlock(0).assign(Iter, 0).jmp(1);
       FB.startBlock(1).be(
           dsl::lt(dsl::reg(Iter), dsl::cst(static_cast<Val>(C.LoopTripCount))),
@@ -247,7 +254,7 @@ private:
       FB.ret();
       return FB.take();
     }
-    RegId Pre = RegId("qpre" + std::to_string(T));
+    RegId Pre = RegId(numbered("qpre", T));
     FB.startBlock(0);
     FB.load(Pre, D, ReadMode::NA);
     rememberLoadedReg(T, Pre);
@@ -256,7 +263,7 @@ private:
     if (percent(C.ReorderBaitPercent)) {
       // Unguarded payload re-read adjacent to the acquire: the pair
       // unsafe reorder hoists across it (Fig 1 as a peephole).
-      RegId Hoist = RegId("qhoist" + std::to_string(T));
+      RegId Hoist = RegId(numbered("qhoist", T));
       FB.load(Hoist, D, ReadMode::NA);
       rememberLoadedReg(T, Hoist);
     }
@@ -285,7 +292,7 @@ private:
     // Optional loop skeleton: q_ctr := TripCount; loop body; countdown.
     bool Loop = C.AllowLoop && coin();
     bool Branch = !Loop && C.AllowBranch && coin();
-    RegId Ctr = RegId("qctr" + std::to_string(T));
+    RegId Ctr = RegId(numbered("qctr", T));
 
     if (Loop) {
       FB.startBlock(Next).assign(Ctr, static_cast<Val>(C.LoopTripCount));
@@ -293,7 +300,7 @@ private:
       FB.startBlock(1).be(dsl::lt(dsl::cst(0), dsl::reg(Ctr)), 2, 3);
       FB.startBlock(2);
       if (C.LoopInvariantLoad) {
-        RegId Inv = RegId("qinv" + std::to_string(T));
+        RegId Inv = RegId(numbered("qinv", T));
         FB.load(Inv, invariantLoadVar(T), ReadMode::NA);
         rememberLoadedReg(T, Inv);
       }
@@ -373,7 +380,7 @@ private:
                   NaVars.begin() + 1) %
                  NaVars.size()];
     FB.store(X, randomExpr(T), WriteMode::NA);
-    RegId R = RegId("qbait" + std::to_string(T));
+    RegId R = RegId(numbered("qbait", T));
     FB.load(R, Y, ReadMode::NA);
     rememberLoadedReg(T, R);
   }

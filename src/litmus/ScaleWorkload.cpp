@@ -190,11 +190,12 @@ std::string scaleWorkloadTag(const ScaleWorkloadConfig &C) {
                       : C.Shape == Mix::SB ? "sb"
                       : C.Shape == Mix::LB ? "lb"
                                            : "mixed";
-  std::string Tag = "t" + std::to_string(C.NumThreads) + "_f" +
-                    std::to_string(C.FillerPerThread) + "_s" +
-                    std::to_string(C.Skeletons) + "_" + Shape;
+  std::string Tag = "t";
+  Tag.append(std::to_string(C.NumThreads)).append("_f");
+  Tag.append(std::to_string(C.FillerPerThread)).append("_s");
+  Tag.append(std::to_string(C.Skeletons)).append("_").append(Shape);
   if (C.PrivateStoresPerThread > 0)
-    Tag += "_w" + std::to_string(C.PrivateStoresPerThread);
+    Tag.append("_w").append(std::to_string(C.PrivateStoresPerThread));
   return Tag;
 }
 

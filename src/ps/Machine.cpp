@@ -35,11 +35,13 @@ bool MachineState::allTerminated() const {
 
 std::string MachineState::str() const {
   std::string Out;
-  for (std::size_t I = 0; I < Threads.size(); ++I)
-    Out += "t" + std::to_string(I) + ": " + Threads[I].Local.str() + " V=" +
-           Threads[I].V.str() + "\n";
+  for (std::size_t I = 0; I < Threads.size(); ++I) {
+    Out.append("t").append(std::to_string(I)).append(": ");
+    Out.append(Threads[I].Local.str()).append(" V=");
+    Out.append(Threads[I].V.str()).append("\n");
+  }
   Out += Mem.str();
-  Out += "cur=t" + std::to_string(Cur);
+  Out.append("cur=t").append(std::to_string(Cur));
   Out += SwitchAllowed ? " sw=o\n" : " sw=x\n";
   return Out;
 }

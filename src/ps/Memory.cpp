@@ -284,7 +284,7 @@ std::string Memory::str() const {
   for (const Loc &L : Locs) {
     Out += L.var().str() + ":";
     for (const Message &M : L.messages())
-      Out += " " + M.str();
+      Out.append(" ").append(M.str());
     Out += "\n";
   }
   return Out;

@@ -9,8 +9,11 @@
 #include "lang/Parser.h"
 #include "nps/NPMachine.h"
 #include "support/ReachableStates.h"
+#include "support/Statistic.h"
 
 #include <gtest/gtest.h>
+
+#include <optional>
 
 namespace psopt {
 namespace {
@@ -105,6 +108,90 @@ TEST(CanonicalTest, MessageViewsAreRenamed) {
   EXPECT_EQ(XMsg.MsgView.rlxAt(Z), ZMsg.To);
 }
 
+TEST(CanonicalTest, SuccessorFallsBackWhenTheTimestampSetIsNotConsecutive) {
+  // Hand-built children of a canonical parent, one per shape the scan
+  // must refuse, plus the gap-free append it must accept. Each must end
+  // as the full renaming leaves it.
+  MachineState Parent = stateOf(R"(var x; func f { block 0: x.na := 1; ret; }
+                                   thread f;)");
+  VarId X("x");
+  Parent.Mem.insert(Message::reservation(X, Time(1), Time(2), 0));
+  Parent.Mem.insert(Message::concrete(X, 1, Time(3), Time(4), View{}));
+  ASSERT_FALSE(canonicalizeState(Parent));
+
+  auto Expect = [&](MachineState Child, bool Renamed) {
+    MachineState Full = Child;
+    EXPECT_EQ(canonicalizeState(Full), Renamed);
+    EXPECT_EQ(canonicalizeSuccessor(Child, Parent), Renamed);
+    EXPECT_EQ(Child.str(), Full.str());
+  };
+  MachineState Append = Parent;
+  Append.Mem.insert(Message::concrete(X, 2, Time(5), Time(6), View{}));
+  Expect(Append, false);
+  MachineState GapAbove = Parent; // 5 is missing above K = 4
+  GapAbove.Mem.insert(Message::concrete(X, 2, Time(6), Time(7), View{}));
+  Expect(GapAbove, true);
+  MachineState Split = Parent; // a fractional placement in a gap
+  Split.Mem.insert(Message::concrete(X, 2, Time(5, 2), Time(3), View{}));
+  Expect(Split, true);
+  MachineState Cancel = Parent; // 1 leaves the state with the reservation
+  Cancel.Mem.removeReservation(X, Time(2));
+  Expect(Cancel, true);
+}
+
+/// The successor relations the searches walk: the reduced interleaving
+/// graph (fused chains, projected states) and both machines' unreduced
+/// graphs.
+enum class Graph { Reduced, Interleaving, NonPreemptive };
+
+/// Walks \p G of \p NP's program and calls \p Visit(Parent, Succ) on every
+/// non-abort successor of every reached canonical state, the successor
+/// projected first when the explorer would project it. The reduced walk
+/// visits every fused and every unreduced successor of a state and follows
+/// the fused one where there is one.
+template <typename VisitT>
+void walkSuccessors(const NamedProgram &NP, Graph G, VisitT &&Visit) {
+  InterleavingMachine IM(NP.Prog, NP.Config);
+  NonPreemptiveMachine NPM(NP.Prog, NP.Config);
+  const Machine &M =
+      G == Graph::NonPreemptive ? static_cast<const Machine &>(NPM) : IM;
+  if (!M.initial())
+    return;
+  std::optional<Reducer> R;
+  if (G == Graph::Reduced)
+    R.emplace(IM);
+  ReducerScratch Scr;
+  MachineState Start = *M.initial();
+  if (R)
+    R->project(Start);
+  canonicalizeState(Start);
+  std::vector<MachineSuccessor> Succs;
+  MachineSuccessor Fused;
+  forEachReachableState(
+      Start, 2000, [&](const MachineState &S, std::vector<MachineState> &Next) {
+        bool HasFused = R && R->selectFused(S, Scr, Fused).Len != 0;
+        if (HasFused) {
+          R->project(Fused.State);
+          Visit(S, Fused);
+        }
+        M.successors(S, Succs);
+        for (MachineSuccessor &Succ : Succs) {
+          if (Succ.Ev.K == MachineEvent::Kind::Abort)
+            continue;
+          if (R)
+            R->project(Succ.State);
+          Visit(S, Succ);
+          canonicalizeState(Succ.State);
+          if (!HasFused)
+            Next.push_back(std::move(Succ.State));
+        }
+        if (HasFused) {
+          canonicalizeState(Fused.State);
+          Next.push_back(std::move(Fused.State));
+        }
+      });
+}
+
 /// Checks the canonical-by-construction rule (Canonical.h) and tallies
 /// how often it applied.
 struct RuleCount {
@@ -125,78 +212,95 @@ struct RuleCount {
   }
 };
 
-/// Walks \p M's unreduced graph (no projection: terminated threads keep
-/// their views) and checks the rule on every successor.
-void checkUnreducedChildren(const Machine &M, RuleCount &Count) {
-  if (!M.initial())
-    return;
-  MachineState Start = *M.initial();
-  canonicalizeState(Start);
-  std::vector<MachineSuccessor> Succs;
-  forEachReachableState(
-      Start, 2000, [&](const MachineState &S, std::vector<MachineState> &Next) {
-        M.successors(S, Succs);
-        for (MachineSuccessor &Succ : Succs) {
-          if (Succ.Ev.K == MachineEvent::Kind::Abort)
-            continue;
-          Count.check(S, Succ.State);
-          canonicalizeState(Succ.State);
-          Next.push_back(std::move(Succ.State));
-        }
-      });
-}
-
 TEST(CanonicalTest, ChildrenKeepingParentMemoryAreCanonical) {
   // Walk the reduced graph of every program in the step-property set; at
   // each state check every fused and every unreduced successor. Then walk
-  // the unreduced graphs of both machines.
-  RuleCount Count, Interleaving, NonPreemptive;
+  // the unreduced graphs of both machines: the rule is machine- and
+  // reduction-independent, and the explorer at --reduce=off, the race
+  // checker and the witness search rely on it over both machines'
+  // unreduced successor relations.
+  RuleCount Count[3];
   for (const NamedProgram &NP : stepPropertyPrograms()) {
     SCOPED_TRACE(NP.Name);
-    InterleavingMachine M(NP.Prog, NP.Config);
-    if (!M.initial())
-      continue;
-    Reducer R(M);
-    ReducerScratch Scr;
-    MachineState Start = *M.initial();
-    R.project(Start);
-    canonicalizeState(Start);
-    std::vector<MachineSuccessor> Succs;
-    MachineSuccessor Fused;
-    forEachReachableState(
-        Start, 2000,
-        [&](const MachineState &S, std::vector<MachineState> &Next) {
-          bool HasFused = R.selectFused(S, Scr, Fused).Len != 0;
-          if (HasFused) {
-            R.project(Fused.State);
-            Count.check(S, Fused.State);
-          }
-          M.successors(S, Succs);
-          for (MachineSuccessor &Succ : Succs) {
-            if (Succ.Ev.K == MachineEvent::Kind::Abort)
-              continue;
-            R.project(Succ.State);
-            Count.check(S, Succ.State);
-            canonicalizeState(Succ.State);
-            if (!HasFused)
-              Next.push_back(std::move(Succ.State));
-          }
-          if (HasFused) {
-            canonicalizeState(Fused.State);
-            Next.push_back(std::move(Fused.State));
-          }
-        });
-    // The rule is machine- and reduction-independent: the explorer at
-    // --reduce=off, the race checker and the witness search rely on it
-    // over both machines' unreduced successor relations.
-    checkUnreducedChildren(M, Interleaving);
-    checkUnreducedChildren(NonPreemptiveMachine(NP.Prog, NP.Config),
-                           NonPreemptive);
+    for (Graph G : {Graph::Reduced, Graph::Interleaving, Graph::NonPreemptive})
+      walkSuccessors(NP, G,
+                     [&](const MachineState &S, const MachineSuccessor &Succ) {
+                       Count[int(G)].check(S, Succ.State);
+                     });
   }
   // Most steps read or compute; the rule must cover a real share of them.
-  EXPECT_GT(Count.Applied, Count.Children / 4);
-  EXPECT_GT(Interleaving.Applied, Interleaving.Children / 4);
-  EXPECT_GT(NonPreemptive.Applied, NonPreemptive.Children / 4);
+  for (const RuleCount &C : Count)
+    EXPECT_GT(C.Applied, C.Children / 4);
+}
+
+/// The step-property programs plus one with promises on and one with
+/// reservations on: promises land in gaps between messages and cancels
+/// remove reservations, the two shapes only the full renaming handles.
+std::vector<NamedProgram> renamingPrograms() {
+  std::vector<NamedProgram> Out = stepPropertyPrograms();
+  StepConfig Promises;
+  Promises.EnablePromises = true;
+  Out.push_back({"promises:two_plus_two_w",
+                 litmus("two_plus_two_w").Prog, Promises});
+  StepConfig Reservations = Promises;
+  Reservations.EnableReservations = true;
+  Out.push_back({"reservations:cas_exclusive",
+                 litmus("cas_exclusive").Prog, Reservations});
+  return Out;
+}
+
+TEST(CanonicalTest, SuccessorFastPathMatchesFullRenaming) {
+  const Statistic &FullRenamings = *findStatistic("explore", "full_renamings");
+  std::size_t FastPath = 0, Fallback = 0;
+  for (const NamedProgram &NP : renamingPrograms()) {
+    SCOPED_TRACE(NP.Name);
+    for (Graph G : {Graph::Reduced, Graph::Interleaving, Graph::NonPreemptive})
+      walkSuccessors(NP, G, [&](const MachineState &S,
+                                const MachineSuccessor &Succ) {
+        MachineState Fast = Succ.State, Full = Succ.State;
+        std::uint64_t Before = FullRenamings.value();
+        bool Renamed = canonicalizeSuccessor(Fast, S);
+        bool FellBack = FullRenamings.value() != Before;
+        canonicalizeState(Full);
+        EXPECT_EQ(Fast.str(), Full.str());
+        EXPECT_EQ(Fast.hash(), Full.hash());
+        EXPECT_EQ(Renamed, Full.str() != Succ.State.str());
+        if (FellBack)
+          ++Fallback;
+        else if (!(Succ.State.Mem == S.Mem))
+          ++FastPath; // a changed memory settled without the full renaming
+      });
+  }
+  EXPECT_GT(FastPath, 0u);
+  EXPECT_GT(Fallback, 0u);
+}
+
+TEST(CanonicalTest, SuccessorsDifferOnlyInTheSteppingThread) {
+  // The state graph reuses the parent's pooled id for every thread but
+  // the stepping one whenever canonicalizing the child renamed nothing;
+  // the step relations (fused chains and projection included) must never
+  // touch another thread.
+  std::size_t Unrenamed = 0;
+  for (const NamedProgram &NP : renamingPrograms()) {
+    SCOPED_TRACE(NP.Name);
+    for (Graph G : {Graph::Reduced, Graph::Interleaving, Graph::NonPreemptive})
+      walkSuccessors(NP, G, [&](const MachineState &S,
+                                const MachineSuccessor &Succ) {
+        MachineState Child = Succ.State;
+        if (canonicalizeSuccessor(Child, S))
+          return;
+        ++Unrenamed;
+        ASSERT_EQ(Child.Threads.size(), S.Threads.size());
+        for (std::size_t T = 0; T < S.Threads.size(); ++T) {
+          if (T != std::size_t(Succ.Ev.Thread)) {
+            EXPECT_TRUE(Child.Threads[T] == S.Threads[T])
+                << "thread " << T << " changed by a step of thread "
+                << Succ.Ev.Thread;
+          }
+        }
+      });
+  }
+  EXPECT_GT(Unrenamed, 0u);
 }
 
 } // namespace

@@ -505,7 +505,7 @@ bool parseArgs(int argc, char **argv, const CommandSpec &Spec, Options &O) {
       O.Positional.size() > Spec.MaxPositional) {
     std::string Count = std::to_string(Spec.MinPositional);
     if (Spec.MaxPositional != Spec.MinPositional)
-      Count += "-" + std::to_string(Spec.MaxPositional);
+      Count.append("-").append(std::to_string(Spec.MaxPositional));
     std::fprintf(stderr,
                  "`psopt %s` takes %s positional argument%s, got %zu\n",
                  Spec.Name, Count.c_str(),
