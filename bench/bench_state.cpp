@@ -14,8 +14,9 @@
 //   MemoryCopyMutate     — copy + single-location write: the COW round trip
 //                          every store successor performs;
 //   StateCopy            — copying a whole mid-workload MachineState;
-//   Canonicalize         — canonicalizing a derived successor with the
-//                          full renaming (note, sort, identity test);
+//   Canonicalize         — canonicalizing a successor of a message-rich
+//                          state with the full renaming (note, sort,
+//                          identity test); only the renaming is timed;
 //   CanonicalizeSuccessor — the same successors through
 //                          canonicalizeSuccessor, which scans only the
 //                          message lists the step changed;
@@ -29,6 +30,8 @@
 #include "ps/Machine.h"
 
 #include <benchmark/benchmark.h>
+
+#include <algorithm>
 
 using namespace psopt;
 
@@ -57,6 +60,45 @@ MachineState walkedState(const InterleavingMachine &M, unsigned Steps) {
     if (Succs.empty())
       break;
     S = std::move(Succs.back().State); // Last: prefers write/step variety.
+    canonicalizeState(S);
+  }
+  return S;
+}
+
+/// bench_scale's private-store program: each thread overwrites its own
+/// variable 50 times, so its states accumulate messages.
+ScaleWorkloadConfig privateStoreConfig() {
+  ScaleWorkloadConfig C;
+  C.Seed = 19;
+  C.NumThreads = 3;
+  C.FillerPerThread = 20;
+  C.PrivateStoresPerThread = 50;
+  C.Skeletons = 2;
+  C.Shape = ScaleWorkloadConfig::Mix::Mixed;
+  return C;
+}
+
+/// Walks \p Steps steps from the initial state, each time taking the
+/// successor with the most messages (a store when one is enabled).
+MachineState messageRichState(const InterleavingMachine &M, unsigned Steps) {
+  auto Messages = [](const MachineState &S) {
+    std::size_t N = 0;
+    for (const Memory::Loc &L : S.Mem.storage())
+      N += L.messages().size();
+    return N;
+  };
+  MachineState S = *M.initial();
+  canonicalizeState(S);
+  std::vector<MachineSuccessor> Succs;
+  for (unsigned I = 0; I < Steps; ++I) {
+    M.successors(S, Succs);
+    if (Succs.empty())
+      break;
+    auto Best = std::max_element(
+        Succs.begin(), Succs.end(), [&](const auto &A, const auto &B) {
+          return Messages(A.State) < Messages(B.State);
+        });
+    S = std::move(Best->State);
     canonicalizeState(S);
   }
   return S;
@@ -150,43 +192,47 @@ void BM_StateCopy(benchmark::State &State) {
 }
 BENCHMARK(BM_StateCopy);
 
-void BM_Canonicalize(benchmark::State &State) {
-  Program P = generateScaleWorkload(midConfig());
+/// Times \p Canon(Child, Parent) on the successors of a message-rich
+/// private-store state (50 steps: 43 messages over 8 locations). The
+/// successors are copied a batch at a time with the timer paused, so only
+/// the renaming is timed.
+template <typename CanonT>
+void benchCanonicalize(benchmark::State &State, CanonT Canon) {
+  Program P = generateScaleWorkload(privateStoreConfig());
   StepConfig SC;
   SC.EnablePromises = false;
   InterleavingMachine M(P, SC);
-  MachineState S = walkedState(M, 40);
+  MachineState S = messageRichState(M, 50);
   std::vector<MachineSuccessor> Succs;
   M.successors(S, Succs);
+  constexpr unsigned Rounds = 64;
+  std::vector<MachineState> Batch;
   for (auto _ : State) {
-    for (MachineSuccessor &Succ : Succs) {
-      MachineState C = Succ.State;
-      canonicalizeState(C);
-      benchmark::DoNotOptimize(C.hash());
-    }
+    State.PauseTiming();
+    Batch.clear();
+    for (unsigned R = 0; R < Rounds; ++R)
+      for (const MachineSuccessor &Succ : Succs)
+        Batch.push_back(Succ.State);
+    State.ResumeTiming();
+    for (MachineState &C : Batch)
+      benchmark::DoNotOptimize(Canon(C, S));
+    benchmark::ClobberMemory();
   }
-  State.SetItemsProcessed(State.iterations() *
+  State.SetItemsProcessed(State.iterations() * Rounds *
                           static_cast<std::int64_t>(Succs.size()));
+}
+
+void BM_Canonicalize(benchmark::State &State) {
+  benchCanonicalize(State, [](MachineState &C, const MachineState &) {
+    return canonicalizeState(C);
+  });
 }
 BENCHMARK(BM_Canonicalize);
 
 void BM_CanonicalizeSuccessor(benchmark::State &State) {
-  Program P = generateScaleWorkload(midConfig());
-  StepConfig SC;
-  SC.EnablePromises = false;
-  InterleavingMachine M(P, SC);
-  MachineState S = walkedState(M, 40);
-  std::vector<MachineSuccessor> Succs;
-  M.successors(S, Succs);
-  for (auto _ : State) {
-    for (MachineSuccessor &Succ : Succs) {
-      MachineState C = Succ.State;
-      canonicalizeSuccessor(C, S);
-      benchmark::DoNotOptimize(C.hash());
-    }
-  }
-  State.SetItemsProcessed(State.iterations() *
-                          static_cast<std::int64_t>(Succs.size()));
+  benchCanonicalize(State, [](MachineState &C, const MachineState &Parent) {
+    return canonicalizeSuccessor(C, Parent);
+  });
 }
 BENCHMARK(BM_CanonicalizeSuccessor);
 

@@ -10,13 +10,11 @@
 #include "explore/StateGraph.h"
 #include "explore/TraceTrie.h"
 #include "nps/NPMachine.h"
-#include "support/Hashing.h"
 #include "support/Statistic.h"
 #include "support/Timer.h"
 #include "support/Trace.h"
 
 #include <optional>
-#include <unordered_set>
 
 namespace psopt {
 
@@ -29,34 +27,16 @@ static PhaseTimer ExploreSearchTime("explore", "search",
 namespace {
 
 /// A search node: a canonical state and the trace that reached it, both
-/// by id, so hashing and comparing a node never touches either.
+/// by id.
 struct Node {
   StateEntry *State;
   TraceTrie::Id Outs;
-
-  bool operator==(const Node &O) const {
-    return State == O.State && Outs == O.Outs;
-  }
 };
 
-struct NodeHash {
-  std::size_t operator()(const Node &N) const {
-    std::size_t Seed = reinterpret_cast<std::uintptr_t>(N.State);
-    hashCombine(Seed, reinterpret_cast<std::uintptr_t>(N.Outs));
-    return hashFinalize(Seed);
-  }
-};
-
-using TraceIdSet = std::unordered_set<TraceTrie::Id>;
-
-/// Worker-private partial result; merged into the final BehaviorSet after
-/// the pool joins. Padded out to a cache line so neighboring workers'
-/// counters don't false-share.
+/// Worker-private counters and buffers, summed after the pool joins (the
+/// traces land in the trie). Padded out to a cache line so neighboring
+/// workers' counters don't false-share.
 struct alignas(64) PartialBehavior {
-  TraceIdSet Done;
-  TraceIdSet Abort;
-  TraceIdSet Blocked;
-  TraceIdSet Prefixes;
   std::uint64_t Transitions = 0;
   std::uint64_t AmpleNodes = 0;
   std::uint64_t FusedSteps = 0;
@@ -66,18 +46,6 @@ struct alignas(64) PartialBehavior {
 };
 
 } // namespace
-
-/// The traces in every partial's \p Sink, materialized once the search is
-/// over. Equal ids in different workers' sets are equal traces, which the
-/// result set merges.
-static std::set<Trace> materialize(const std::vector<PartialBehavior> &Ps,
-                                   TraceIdSet PartialBehavior::*Sink) {
-  std::set<Trace> Out;
-  for (const PartialBehavior &P : Ps)
-    for (TraceTrie::Id T : P.*Sink)
-      Out.insert(TraceTrie::materialize(T));
-  return Out;
-}
 
 BehaviorSet explore(const Machine &M, const ExploreConfig &C) {
   BehaviorSet B;
@@ -99,28 +67,27 @@ BehaviorSet explore(const Machine &M, const ExploreConfig &C) {
     Red.emplace(M);
 
   // At one worker the pool runs on the calling thread and spawns nothing.
-  ParallelBfs<Node, NodeHash> Engine(C.Jobs, C.MaxNodes);
+  ParallelBfs<Node> Engine(C.Jobs, C.MaxNodes);
   StateGraph States(M, Red ? &*Red : nullptr, Engine.jobs());
   TraceTrie Traces(Engine.jobs());
   std::vector<PartialBehavior> Partials(Engine.jobs());
   Node Root{&States.root(Partials[0].Expand), Traces.empty()};
 
-  // Per node only ids move: the state's expansion is looked up (computed
-  // by the first node to reach it), and the node's own trace decides
-  // where its edges lead and which sinks it lands in.
+  // A node is visited when its (state, trace) pair is first marked. Per
+  // node only ids move: the state's expansion is looked up (computed by
+  // the first node to reach it), the node's trace decides where its edges
+  // lead, and how the node ends is marked on its trace entry.
   auto Visit = [&](unsigned W, const Node &N, auto &&Push) {
+    if (!States.reach(*N.State, N.Outs) || !Engine.claim())
+      return;
     ++NumExploreNodes;
     PartialBehavior &Sink = Partials[W];
-    Sink.Prefixes.insert(N.Outs);
     const Expansion &X = States.expand(*N.State, Sink.Expand);
-    if (X.Done) {
-      Sink.Done.insert(N.Outs);
-      return;
-    }
-    if (X.Edges.empty()) {
-      Sink.Blocked.insert(N.Outs);
-      return;
-    }
+    std::uint8_t Ends = TraceTrie::Prefix;
+    if (X.Done)
+      Ends |= TraceTrie::Done;
+    else if (X.Edges.empty()) // no step and not done
+      Ends |= TraceTrie::Blocked;
     if (X.Chain.Len) {
       ++Sink.AmpleNodes;
       Sink.FusedSteps += X.Chain.Len;
@@ -131,7 +98,7 @@ BehaviorSet explore(const Machine &M, const ExploreConfig &C) {
     for (const Edge &E : X.Edges) {
       switch (E.K) {
       case MachineEvent::Kind::Abort:
-        Sink.Abort.insert(N.Outs);
+        Ends |= TraceTrie::Abort;
         break;
       case MachineEvent::Kind::Out:
         // The trace bound belongs to the node, not the state: the same
@@ -146,17 +113,14 @@ BehaviorSet explore(const Machine &M, const ExploreConfig &C) {
         break;
       }
     }
+    TraceTrie::mark(N.Outs, Ends);
   };
 
   auto Stats = Engine.run(Root, Visit);
 
-  // Deterministic merge: the trace sets are unions of per-node
-  // contributions and the counters are sums over the exactly-once
-  // visited nodes, so neither depends on which worker visited what.
-  B.Done = materialize(Partials, &PartialBehavior::Done);
-  B.Abort = materialize(Partials, &PartialBehavior::Abort);
-  B.Blocked = materialize(Partials, &PartialBehavior::Blocked);
-  B.Prefixes = materialize(Partials, &PartialBehavior::Prefixes);
+  // Deterministic merge: the trace sets are the marks and the counters
+  // the sums of the exactly-once visited nodes, whichever worker it was.
+  Traces.collect(B);
   bool OutBoundHit = false;
   for (const PartialBehavior &L : Partials) {
     B.Transitions += L.Transitions;

@@ -10,20 +10,20 @@
 /// (interleaving or non-preemptive) and collects its BehaviorSet.
 ///
 /// Nodes are (state, trace) pairs — traces matter because behaviors are
-/// path-dependent — memoized globally, so each pair is visited once. A
-/// node is two ids: a state entry of the interned state graph
-/// (explore/StateGraph.h), expanded once however many nodes reach it, and
-/// a trace entry of a hash-consed trie (explore/TraceTrie.h). For a
+/// path-dependent — and each pair is visited once. A node is two ids: a
+/// state entry of the interned state graph (explore/StateGraph.h),
+/// expanded once however many nodes reach it and marked with the traces
+/// that reached it, and a trace entry of a hash-consed trie
+/// (explore/TraceTrie.h), marked with how its nodes end. For a
 /// finite-control program with bounded promises the graph is finite thanks
 /// to timestamp canonicalization. The bounds below are safety nets whose
 /// violation flips BehaviorSet::Exhausted to false.
 ///
-/// The search is a ParallelBfs worker pool (explore/ParallelBfs.h); each
-/// worker accumulates private sets of trace ids, materialized into the
-/// BehaviorSet once the pool joins, so every worker count yields the same
-/// BehaviorSet on exhausted runs. When a bound trips, Exhausted is false
-/// at every worker count and NodesVisited is exactly MaxNodes. See
-/// DESIGN.md §7.
+/// The search is a ParallelBfs worker pool (explore/ParallelBfs.h). The
+/// BehaviorSet is read off the trie's marks once the pool joins, so every
+/// worker count yields the same BehaviorSet on exhausted runs. When a
+/// bound trips, Exhausted is false at every worker count and NodesVisited
+/// is exactly MaxNodes. See DESIGN.md §7.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -6,26 +6,25 @@
 ///
 /// \file
 /// The parallel search engine: a worker pool expands nodes from
-/// per-worker deques with stealing, deduplicating through a sharded,
-/// striped-lock visited table (explore/Sharded.h). The explorer (nodes are
+/// per-worker deques with stealing. The pool keeps no visited table: each
+/// search decides a node's first visit by marking it in its state graph
+/// (StateGraph::reach, explore/StateGraph.h). The explorer (nodes are
 /// (state entry, trace entry) id pairs) and the race checker (nodes are
-/// state entries, explore/StateGraph.h) instantiate it. With one worker
-/// the search runs on the calling thread, spawns nothing, and keeps a
-/// single unsharded visited table.
+/// state entries) instantiate it. With one worker the search runs on the
+/// calling thread and spawns nothing.
 ///
-/// Guarantees:
-///  * each unique node (under HashT/operator==) is visited exactly once;
-///  * at most MaxNodes nodes are ever visited — the (MaxNodes+1)-th
-///    insertion attempt trips the bound, after which workers drain their
-///    queues without expanding;
-///  * the visit count is deterministic: min(|reachable graph|, MaxNodes).
+/// Guarantees, given a visitor that expands a node only on its first
+/// visit and only after claim() succeeds:
+///  * at most MaxNodes nodes are ever expanded — the (MaxNodes+1)-th
+///    claim trips the bound, after which workers drain their queues;
+///  * the expansion count is deterministic: min(|reachable graph|,
+///    MaxNodes).
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef PSOPT_EXPLORE_PARALLELBFS_H
 #define PSOPT_EXPLORE_PARALLELBFS_H
 
-#include "explore/Sharded.h"
 #include "support/Statistic.h"
 #include "support/Trace.h"
 
@@ -36,7 +35,6 @@
 #include <mutex>
 #include <optional>
 #include <thread>
-#include <unordered_set>
 #include <vector>
 
 namespace psopt {
@@ -48,16 +46,15 @@ Statistic &numBfsSteals();
 Statistic &numBfsIdleWaits();
 } // namespace detail
 
-template <typename NodeT, typename HashT> class ParallelBfs {
+template <typename NodeT> class ParallelBfs {
 public:
   struct Stats {
-    std::uint64_t Expanded = 0; ///< unique nodes visited
+    std::uint64_t Expanded = 0; ///< successful claim()s: nodes expanded
     bool NodeBoundHit = false;  ///< MaxNodes tripped (search incomplete)
   };
 
   ParallelBfs(unsigned Jobs, std::uint64_t MaxNodes)
-      : Jobs(Jobs < 1 ? 1 : Jobs), MaxNodes(MaxNodes),
-        Shards(this->Jobs), Queues(this->Jobs) {}
+      : Jobs(Jobs < 1 ? 1 : Jobs), MaxNodes(MaxNodes), Queues(this->Jobs) {}
 
   unsigned jobs() const { return Jobs; }
 
@@ -67,11 +64,25 @@ public:
   /// considered hit.
   void stop() { Stop.store(true, std::memory_order_relaxed); }
 
-  /// Runs the search from \p Root. \p Visit is invoked exactly once per
-  /// unique node, concurrently from up to Jobs workers, as
+  /// Claims one of the MaxNodes expansions for a node's first visit; the
+  /// visitor expands the node only on success. The (MaxNodes+1)-th claim
+  /// trips the bound and stops the search.
+  bool claim() {
+    std::uint64_t Cur = Claimed.load(std::memory_order_relaxed);
+    while (Cur < MaxNodes)
+      if (Claimed.compare_exchange_weak(Cur, Cur + 1,
+                                        std::memory_order_relaxed))
+        return true;
+    NodeBound.store(true, std::memory_order_relaxed);
+    Stop.store(true, std::memory_order_relaxed);
+    return false;
+  }
+
+  /// Runs the search from \p Root. \p Visit is invoked for every popped
+  /// node until the search stops, concurrently from up to Jobs workers, as
   ///   Visit(WorkerId, const NodeT &, Push)
-  /// where Push(NodeT &&) enqueues a child; duplicates are filtered at
-  /// expansion time. Single-shot: construct a fresh engine per search.
+  /// where Push(NodeT &&) enqueues a child. Single-shot: construct a
+  /// fresh engine per search.
   template <typename VisitT> Stats run(NodeT Root, VisitT &&Visit) {
     pushWork(0, std::move(Root));
     // The calling thread doubles as worker 0; only Jobs - 1 threads spawn.
@@ -91,11 +102,6 @@ public:
   }
 
 private:
-  struct VisitedShard {
-    std::mutex M;
-    std::unordered_set<NodeT, HashT> Set;
-  };
-
   struct WorkQueue {
     std::mutex M;
     std::deque<NodeT> D;
@@ -131,16 +137,6 @@ private:
       }
     }
     return std::nullopt;
-  }
-
-  /// Claims one of the MaxNodes visit tickets; failure trips the bound.
-  bool claimTicket() {
-    std::uint64_t Cur = Claimed.load(std::memory_order_relaxed);
-    while (Cur < MaxNodes)
-      if (Claimed.compare_exchange_weak(Cur, Cur + 1,
-                                        std::memory_order_relaxed))
-        return true;
-    return false;
   }
 
   template <typename VisitT> void workerLoop(unsigned W, VisitT &Visit) {
@@ -179,7 +175,9 @@ private:
         searchFrontierGauge().set(Pending.load(std::memory_order_relaxed));
         searchVisitedGauge().set(Claimed.load(std::memory_order_relaxed));
       }
-      expand(W, std::move(*N), Visit, Push);
+      // Draining after a bound trip or stop(): don't visit.
+      if (!Stop.load(std::memory_order_relaxed))
+        Visit(W, *N, Push);
       Pending.fetch_sub(1, std::memory_order_release);
     }
     detail::numBfsSteals() += Steals;
@@ -190,35 +188,8 @@ private:
         .arg("idle_waits", IdleWaits);
   }
 
-  template <typename VisitT, typename PushT>
-  void expand(unsigned W, NodeT &&N, VisitT &Visit, PushT &Push) {
-    if (Stop.load(std::memory_order_relaxed))
-      return; // draining after a bound trip or stop(): don't expand
-    VisitedShard &S = Shards.forHash(HashT{}(N));
-    const NodeT *Ref;
-    {
-      std::lock_guard<std::mutex> Lock(S.M);
-      auto [It, IsNew] = S.Set.insert(std::move(N));
-      if (!IsNew)
-        return;
-      if (!claimTicket()) {
-        // Over budget: leave the table exactly MaxNodes strong.
-        S.Set.erase(It);
-        NodeBound.store(true, std::memory_order_relaxed);
-        Stop.store(true, std::memory_order_relaxed);
-        return;
-      }
-      // Element addresses in unordered_set survive rehashing, so the
-      // reference stays valid outside the lock; nodes are never erased
-      // after a successful claim.
-      Ref = &*It;
-    }
-    Visit(W, *Ref, Push);
-  }
-
   const unsigned Jobs;
   const std::uint64_t MaxNodes;
-  Sharded<VisitedShard> Shards;
   std::vector<WorkQueue> Queues;
   std::atomic<std::uint64_t> Pending{0};
   std::atomic<std::uint64_t> Claimed{0};

@@ -6,8 +6,8 @@
 ///
 /// \file
 /// The striping shared by every table the search workers write
-/// concurrently: ParallelBfs's visited table, the explorer's state table
-/// and its two component pools, and the trace trie (explore/TraceTrie.h).
+/// concurrently: the state graph's entry map and its two component pools
+/// (explore/StateGraph.h), and the trace trie (explore/TraceTrie.h).
 /// A table is split into parallelBfsShardCount(Jobs) shards, each a
 /// container behind its own mutex, and an element's shard is picked by
 /// the *high* bits of its finalized hash. unordered containers place
@@ -51,6 +51,10 @@ public:
   ShardT &forHash(std::size_t H) {
     return Bits ? Shards[H >> (8 * sizeof(std::size_t) - Bits)] : Shards[0];
   }
+
+  /// The shards in index order, for walks once the writers are done.
+  auto begin() const { return Shards.begin(); }
+  auto end() const { return Shards.end(); }
 
 private:
   std::vector<ShardT> Shards;

@@ -31,6 +31,15 @@ StateEntry &StateGraph::root(ExpandScratch &Scr) {
   return intern(std::move(Start), nullptr, nullptr, 0, true, Scr.KeyBuf);
 }
 
+bool StateGraph::reach(StateEntry &E, TraceTrie::Id Outs) {
+  std::vector<TraceTrie::Id> &Reached = E.second.Reached;
+  std::lock_guard<std::mutex> Lock(Shards.forHash(E.first.Hash).M);
+  if (std::find(Reached.begin(), Reached.end(), Outs) != Reached.end())
+    return false;
+  Reached.push_back(Outs);
+  return true;
+}
+
 StateEntry &StateGraph::intern(MachineState &&S, const MachineState *Parent,
                                const StateKey *ParentKey, Tid Stepper,
                                bool Renamed,

@@ -7,8 +7,8 @@
 /// \file
 /// The configuration graph all three searches walk: explore(), the race
 /// checker (race/WWRace.h) and the witness search (explore/Witness.h).
-/// States are interned by pooled component ids and expanded once each;
-/// see DESIGN.md §7.
+/// States are interned by pooled component ids, expanded once each, and
+/// marked with the search nodes reaching them; see DESIGN.md §7.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -17,6 +17,7 @@
 
 #include "explore/Reduction.h"
 #include "explore/Sharded.h"
+#include "explore/TraceTrie.h"
 #include "ps/Machine.h"
 #include "support/Hashing.h"
 #include "support/Statistic.h"
@@ -75,6 +76,9 @@ struct StateSlot {
   /// The full state, from interning until its expansion moves it out.
   std::unique_ptr<MachineState> Pending;
   Expansion X;
+  /// The trace tags the entry was reached under, guarded by its shard's
+  /// lock. Most states are reached under a few traces: a flat list.
+  std::vector<TraceTrie::Id> Reached;
 };
 
 /// A search worker's expansion buffers, reused across expansions.
@@ -181,6 +185,11 @@ public:
 
   /// The entry of the machine's initial state, which must exist.
   StateEntry &root(ExpandScratch &Scr);
+
+  /// Marks \p E reached under trace tag \p Outs; true only the first time
+  /// for the pair. explore() tags a node with its trace, the witness
+  /// search with its printed prefix, the race check with null.
+  bool reach(StateEntry &E, TraceTrie::Id Outs);
 
   /// \p E's expansion, computed on first call; concurrent callers wait
   /// for the one computing it, and the full state is dropped once it is

@@ -7,9 +7,9 @@
 #include "explore/Witness.h"
 #include "explore/Canonical.h"
 #include "explore/StateGraph.h"
+#include "explore/TraceTrie.h"
 
 #include <algorithm>
-#include <set>
 
 namespace psopt {
 
@@ -39,10 +39,15 @@ WitnessResult findWitness(const Machine &M, const Trace &Outs,
 
   StateGraph States(M, nullptr, 1);
   ExpandScratch Scratch;
+  // A node is tagged in the graph with the id of its printed prefix.
+  TraceTrie Traces(1);
+  std::vector<TraceTrie::Id> Prefix{Traces.empty()};
+  for (Val V : Outs)
+    Prefix.push_back(Traces.extend(Prefix.back(), V));
   // The arena doubles as the FIFO queue: nodes are appended once, when
   // first reached, and visited in order, so the path found is shortest.
   std::vector<SearchNode> Arena{{&States.root(Scratch), 0, 0, 0}};
-  std::set<std::pair<StateEntry *, std::size_t>> Seen{{Arena[0].State, 0}};
+  States.reach(*Arena[0].State, Prefix[0]);
 
   // The witness ending at node Idx: the edge indices along the parent
   // links, replayed forward through Machine::successors (the search is
@@ -100,7 +105,7 @@ WitnessResult findWitness(const Machine &M, const Trace &Outs,
       case MachineEvent::Kind::Tau:
         break;
       }
-      if (Seen.insert({E.Child, Printed}).second)
+      if (States.reach(*E.Child, Prefix[Printed]))
         Arena.push_back({E.Child, Printed, Idx, I});
     }
   }

@@ -55,8 +55,8 @@ struct WitnessResult : std::optional<Witness> {
 /// Searches \p M for a shortest execution with outputs \p Outs ending in
 /// \p Ending (Done/Abort; Partial matches any reachable point with that
 /// output prefix): a FIFO walk of the unreduced state graph
-/// (explore/StateGraph.h) over (state, printed prefix) nodes, of which
-/// \p C.MaxNodes are visited at most.
+/// (explore/StateGraph.h) over (state, printed prefix) nodes, deduplicated
+/// by the graph's marks, of which \p C.MaxNodes are visited at most.
 WitnessResult findWitness(const Machine &M, const Trace &Outs,
                           Behavior::End Ending, const ExploreConfig &C = {});
 

@@ -34,8 +34,8 @@
 /// bit-identical to recomputation. PSOPT_CERT_CACHE_AUDIT builds verify
 /// this by re-running the search on every hit.
 ///
-/// The cache is sharded with striped locks (same pattern as the parallel
-/// explorer's visited table, explore/ParallelBfs.h): shard selection uses
+/// The cache is sharded with striped locks (same pattern as the state
+/// graph's entry map, explore/Sharded.h): shard selection uses
 /// the high bits of the key hash so striping does not correlate with
 /// bucket placement inside a shard. Eviction is generational: when a shard
 /// outgrows its budget it is cleared wholesale — correctness never depends

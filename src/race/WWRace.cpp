@@ -8,7 +8,6 @@
 #include "explore/ParallelBfs.h"
 #include "explore/StateGraph.h"
 #include "nps/NPMachine.h"
-#include "support/Hashing.h"
 
 #include <mutex>
 
@@ -44,8 +43,9 @@ std::optional<RaceWitness> stateHasWWRace(const Program &P,
 }
 
 /// Race detection is trace-insensitive: the search nodes are the entries
-/// of the state graph, and the predicate sees each full state inside its
-/// one expansion. The pool stops as soon as any worker finds a witness;
+/// of the state graph, each visited when it is first reached under the
+/// null trace tag, and the predicate sees each full state inside its one
+/// expansion. The pool stops as soon as any worker finds a witness;
 /// the verdict is the same at every worker count on unbounded runs
 /// because racy-state reachability does not depend on search order.
 RaceCheckResult
@@ -56,18 +56,14 @@ checkRaceFreedom(const Machine &M, const RaceCheckConfig &C,
   if (!M.initial())
     return R; // No execution, no race.
 
-  struct EntryHash {
-    std::size_t operator()(const StateEntry *E) const {
-      return hashFinalize(reinterpret_cast<std::uintptr_t>(E));
-    }
-  };
-  ParallelBfs<StateEntry *, EntryHash> Engine(C.Jobs, C.MaxNodes);
+  ParallelBfs<StateEntry *> Engine(C.Jobs, C.MaxNodes);
   StateGraph States(M, nullptr, Engine.jobs());
   std::vector<ExpandScratch> Scratch(Engine.jobs());
   std::mutex WitnessMutex;
 
   auto Visit = [&](unsigned W, StateEntry *E, auto &&Push) {
-    // The engine visits each entry once, so this visit expands it.
+    if (!States.reach(*E, nullptr) || !Engine.claim())
+      return;
     std::optional<RaceWitness> Witness;
     const Expansion &X =
         States.expand(*E, Scratch[W], [&](const MachineState &S) {

@@ -408,7 +408,7 @@ Gauge &searchFrontierGauge() {
 }
 
 Gauge &searchVisitedGauge() {
-  static Gauge G("search", "visited", "visited-table occupancy");
+  static Gauge G("search", "visited", "nodes visited so far");
   return G;
 }
 

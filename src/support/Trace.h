@@ -182,7 +182,7 @@ const std::vector<Gauge *> &allGauges();
 /// The search engine's live gauges (defined in Trace.cpp so every
 /// ParallelBfs instantiation publishes to the same pair).
 Gauge &searchFrontierGauge(); ///< work items not yet expanded
-Gauge &searchVisitedGauge();  ///< visited-table occupancy
+Gauge &searchVisitedGauge();  ///< nodes visited so far
 
 /// The --progress heartbeat: samples the statistic/gauge registries every
 /// \p IntervalSec on a background thread, prints one line per sample to

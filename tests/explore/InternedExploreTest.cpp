@@ -18,10 +18,16 @@
 ///    (nodes, transitions, reduction.*) match the reference, and the
 ///    component pools hold exactly the distinct thread states and
 ///    (location, message list) contents of the reachable states
-///    (explore.pooled_threads, explore.pooled_lists);
+///    (explore.pooled_threads, explore.pooled_lists), and the four trace
+///    sets read off the trie's marks equal the reference's;
+///  * a state reached under hundreds of traces is visited once per trace;
+///  * a bound cut leaves the traces of unvisited nodes out of the sets;
 ///  * the MaxOuts cut is decided per node, not per state;
 ///  * the trace trie: equal traces share an id, and materialization
-///    restores the trace, also under concurrent interning.
+///    restores the trace, also under concurrent interning; only marked
+///    traces are collected;
+///  * StateGraph::reach is true once per (entry, tag) pair, also under
+///    concurrent marking.
 ///
 /// Part of the ThreadSanitizer CI job: the state table and the trie are
 /// shared by every worker.
@@ -31,6 +37,7 @@
 #include "explore/Canonical.h"
 #include "explore/Explorer.h"
 #include "explore/Reduction.h"
+#include "explore/StateGraph.h"
 #include "explore/TraceTrie.h"
 #include "lang/Parser.h"
 #include "nps/NPMachine.h"
@@ -68,7 +75,16 @@ struct Reference {
   std::uint64_t States = 0, FullExpansions = 0;
   std::uint64_t AmpleNodes = 0, FusedSteps = 0, SleepSkips = 0;
   std::uint64_t DistinctThreads = 0, DistinctLists = 0;
+  std::set<Trace> Done, Abort, Blocked, Prefixes;
 };
+
+/// The trace sets of \p B equal those of \p R.
+void expectSameTraces(const BehaviorSet &B, const Reference &R) {
+  EXPECT_EQ(B.Done, R.Done);
+  EXPECT_EQ(B.Abort, R.Abort);
+  EXPECT_EQ(B.Blocked, R.Blocked);
+  EXPECT_EQ(B.Prefixes, R.Prefixes);
+}
 
 struct ThreadStateHash {
   std::size_t operator()(const ThreadState &TS) const { return TS.hash(); }
@@ -143,6 +159,11 @@ std::optional<Reference> referenceSearch(const Machine &M, bool Reduce,
     if (++R.Nodes > Limit)
       return std::nullopt;
     const StateFacts &F = Expand(S);
+    R.Prefixes.insert(T);
+    if (F.Done)
+      R.Done.insert(T);
+    else if (F.Succs.empty())
+      R.Blocked.insert(T);
     if (F.Chain.Len) {
       ++R.AmpleNodes;
       R.FusedSteps += F.Chain.Len;
@@ -150,8 +171,10 @@ std::optional<Reference> referenceSearch(const Machine &M, bool Reduce,
     }
     R.Transitions += F.Succs.size();
     for (const auto &[Child, Ev] : F.Succs) {
-      if (Ev.K == MachineEvent::Kind::Abort)
+      if (Ev.K == MachineEvent::Kind::Abort) {
+        R.Abort.insert(T);
         continue;
+      }
       Trace ChildOuts = T;
       if (Ev.K == MachineEvent::Kind::Out)
         ChildOuts.push_back(Ev.OutVal);
@@ -212,6 +235,7 @@ void expectEachStateExpandedOnce(const NamedProgram &NP, const StepConfig &SC,
   EXPECT_EQ(detail::numReductionSleepSkips().value() - Skips0, R->SleepSkips);
   EXPECT_EQ(PooledThreads.value() - Threads0, R->DistinctThreads);
   EXPECT_EQ(PooledLists.value() - Lists0, R->DistinctLists);
+  expectSameTraces(B, *R);
   ++Totals.Checked;
   Totals.Nodes += B.NodesVisited;
   Totals.Calls += Calls;
@@ -242,6 +266,61 @@ TEST(InternedExploreTest, EachStateExpandsOnce) {
   // States are reached under several traces, so expanding per node would
   // have run the successor relation more often than this.
   EXPECT_LT(Totals.Calls, Totals.Nodes);
+}
+
+TEST(InternedExploreTest, ManyTracesIntoOneState) {
+  // Two threads that only print: every interleaving of their prints is a
+  // trace, and all C(12, 6) = 924 of them end in the one final state.
+  Program P = parseProgramOrDie(R"(
+    func f { block 0: print(1); print(1); print(1); print(1); print(1);
+             print(1); ret; }
+    func g { block 0: print(2); print(2); print(2); print(2); print(2);
+             print(2); ret; }
+    thread f; thread g;)");
+  for (bool Reduce : {true, false}) {
+    InterleavingMachine M(P, StepConfig{});
+    std::optional<Reference> R = referenceSearch(M, Reduce, 100'000);
+    ASSERT_TRUE(R.has_value());
+    ASSERT_EQ(R->Done.size(), 924u);
+    for (unsigned Jobs : {1u, 8u}) {
+      SCOPED_TRACE(std::string(Reduce ? "reduce" : "no reduce") +
+                   " jobs=" + std::to_string(Jobs));
+      ExploreConfig C;
+      C.Reduce = Reduce;
+      C.Jobs = Jobs;
+      BehaviorSet B = explore(M, C);
+      EXPECT_TRUE(B.Exhausted);
+      EXPECT_EQ(B.NodesVisited, R->Nodes);
+      EXPECT_EQ(B.UniqueStates, R->States);
+      EXPECT_EQ(B.Transitions, R->Transitions);
+      expectSameTraces(B, *R);
+    }
+  }
+}
+
+TEST(InternedExploreTest, BoundCutLeavesUnvisitedTracesOut) {
+  // Both threads print at their first step, so the root's children are
+  // reached under the interned traces [1] and [2]. With MaxNodes = 1 only
+  // the root is visited, and only its trace may reach the sets.
+  Program P = parseProgramOrDie(R"(func f { block 0: print(1); ret; }
+    func g { block 0: print(2); ret; }
+    thread f; thread g;)");
+  for (bool Reduce : {true, false})
+    for (unsigned Jobs : {1u, 8u}) {
+      SCOPED_TRACE(std::string(Reduce ? "reduce" : "no reduce") +
+                   " jobs=" + std::to_string(Jobs));
+      ExploreConfig C;
+      C.MaxNodes = 1;
+      C.Reduce = Reduce;
+      C.Jobs = Jobs;
+      BehaviorSet B = exploreInterleaving(P, StepConfig{}, C);
+      EXPECT_FALSE(B.Exhausted);
+      EXPECT_EQ(B.NodesVisited, 1u);
+      EXPECT_EQ(B.Prefixes, std::set<Trace>{Trace{}});
+      EXPECT_TRUE(B.Done.empty());
+      EXPECT_TRUE(B.Abort.empty());
+      EXPECT_TRUE(B.Blocked.empty());
+    }
 }
 
 TEST(InternedExploreTest, MaxOutsCutsPerNode) {
@@ -322,6 +401,50 @@ TEST(InternedExploreTest, TraceTrieIsSharedAcrossThreads) {
       EXPECT_EQ(Seen[W][I], internTrace(Trie, T));
       EXPECT_EQ(TraceTrie::materialize(Seen[W][I]), T);
     }
+}
+
+TEST(InternedExploreTest, TraceTrieCollectsOnlyMarkedTraces) {
+  TraceTrie Trie(1);
+  TraceTrie::Id One = internTrace(Trie, {1});
+  TraceTrie::Id OneTwo = internTrace(Trie, {1, 2});
+  internTrace(Trie, {3}); // interned, never marked
+  TraceTrie::mark(Trie.empty(), TraceTrie::Prefix);
+  TraceTrie::mark(One, TraceTrie::Prefix | TraceTrie::Abort);
+  TraceTrie::mark(OneTwo, TraceTrie::Prefix | TraceTrie::Done);
+  TraceTrie::mark(OneTwo, TraceTrie::Prefix); // already set
+  BehaviorSet B;
+  Trie.collect(B);
+  EXPECT_EQ(B.Prefixes, (std::set<Trace>{{}, {1}, {1, 2}}));
+  EXPECT_EQ(B.Abort, (std::set<Trace>{{1}}));
+  EXPECT_EQ(B.Done, (std::set<Trace>{{1, 2}}));
+  EXPECT_TRUE(B.Blocked.empty());
+}
+
+TEST(InternedExploreTest, ReachIsFirstOncePerPair) {
+  // Eight threads mark one entry under the same 64 tags in different
+  // orders: each (entry, tag) pair is first for exactly one of them.
+  Program P = parseProgramOrDie("func f { block 0: print(1); ret; } thread f;");
+  InterleavingMachine M(P, StepConfig{});
+  StateGraph G(M, nullptr, 8);
+  ExpandScratch Scr;
+  StateEntry &Root = G.root(Scr);
+  TraceTrie Trie(1);
+  std::vector<TraceTrie::Id> Tags{Trie.empty()};
+  for (Val V = 0; V < 63; ++V)
+    Tags.push_back(Trie.extend(Tags.back(), V));
+  std::atomic<unsigned> Firsts{0};
+  std::vector<std::thread> Markers;
+  for (unsigned W = 0; W < 8; ++W)
+    Markers.emplace_back([&, W] {
+      for (std::size_t I = 0; I < Tags.size(); ++I)
+        Firsts += G.reach(Root, Tags[(I * 5 + W) % Tags.size()]);
+    });
+  for (std::thread &T : Markers)
+    T.join();
+  EXPECT_EQ(Firsts.load(), Tags.size());
+  EXPECT_FALSE(G.reach(Root, Tags[0]));
+  EXPECT_TRUE(G.reach(Root, nullptr));
+  EXPECT_FALSE(G.reach(Root, nullptr));
 }
 
 } // namespace

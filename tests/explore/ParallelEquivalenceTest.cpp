@@ -19,7 +19,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "explore/Explorer.h"
-#include "explore/ParallelBfs.h"
+#include "explore/Sharded.h"
 #include "explore/Refinement.h"
 #include "litmus/Litmus.h"
 #include "litmus/RandomProgram.h"
