@@ -14,6 +14,10 @@ static Statistic NumMachineSteps("machine", "thread_steps",
                                  "thread steps lifted to machine steps");
 static Statistic NumCertRejects("machine", "cert_rejects",
                                 "successors rejected by certification");
+static Statistic NumUnfulfillable(
+    "machine", "unfulfillable_rejects",
+    "promise candidates and steps rejected before certification: a "
+    "promise no reachable store can fulfil");
 
 std::size_t MachineState::hash() const {
   return memoizedHash(HashCache, [this] {
@@ -50,6 +54,8 @@ Machine::Machine(const Program &Prog, StepConfig C)
     : P(&Prog), Cfg(C), TrackAcqView(programHasAcquireFence(Prog)) {
   if (Cfg.EnableCertCache)
     Cert = std::make_unique<CertCache>();
+  if (Cfg.EnablePromises)
+    Reach = std::make_unique<StoreReach>(Prog);
   // Initial memory covers every referenced variable plus declared atomics,
   // each with the initial message ⟨x : 0@(0,0], V⊥⟩.
   std::set<VarId> Vars = Prog.referencedVars();
@@ -79,10 +85,24 @@ void Machine::liftThreadSuccessors(const MachineState &S, Tid T,
                                    std::vector<MachineSuccessor> &Out) const {
   std::vector<ThreadSuccessor> Succs;
   enumerateProgramSteps(*P, T, S.Threads[T], S.Mem, Succs, TrackAcqView);
-  enumeratePrcSteps(*P, T, S.Threads[T], S.Mem, Domains[T], Cfg, Succs);
+  if (AllowPromiseReserve) {
+    if (unsigned Skipped = enumeratePrcSteps(*P, T, S.Threads[T], S.Mem,
+                                             Domains[T], Cfg, Succs,
+                                             Reach.get()))
+      NumUnfulfillable += Skipped;
+  } else {
+    StepConfig CancelOnly = Cfg;
+    CancelOnly.EnablePromises = false;
+    CancelOnly.EnableReservations = false;
+    enumeratePrcSteps(*P, T, S.Threads[T], S.Mem, Domains[T], CancelOnly,
+                      Succs);
+  }
 
+  // Every enumerated step is considered for lifting; one add per call keeps
+  // the workers' shared counter traffic down.
+  if (!Succs.empty())
+    NumMachineSteps += Succs.size();
   for (ThreadSuccessor &TSucc : Succs) {
-    ++NumMachineSteps;
     if (TSucc.Abort) {
       MachineSuccessor MS;
       MS.State = S; // Terminal; the explorer stops at abort events.
@@ -94,8 +114,16 @@ void Machine::liftThreadSuccessors(const MachineState &S, Tid T,
     }
     bool IsPrm = TSucc.Ev.K == ThreadEvent::Kind::Promise;
     bool IsRsv = TSucc.Ev.K == ThreadEvent::Kind::Reserve;
-    if ((IsPrm || IsRsv) && !AllowPromiseReserve)
+
+    // A step that leaves one of the thread's promises out of reach would
+    // fail certification below. A promise step needs no check: its
+    // candidate was filtered above, and the thread's older promises were
+    // reachable after its last step and still are (its state is unchanged).
+    if (Reach && !IsPrm &&
+        !Reach->promisesFulfillable(T, TSucc.TS, TSucc.Mem)) {
+      ++NumUnfulfillable;
       continue;
+    }
 
     // Per-step consistency: the stepping thread must still be able to
     // fulfil all of its promises (Fig 9 τ-step premise).

@@ -127,11 +127,12 @@ public:
 
 protected:
   /// Lifts thread \p T's enumerated successors into machine successors,
-  /// applying the per-step consistency check. Promise/reserve steps are
-  /// emitted only when \p AllowPromiseReserve (the NP machine passes its
-  /// switch bit); cancel steps are always eligible. When \p TrackNP, the
-  /// successor records the stepping thread and the updated switch bit per
-  /// Fig 10; otherwise Cur/β stay at their fixed interleaving values.
+  /// applying the per-step consistency check (after the StoreReach
+  /// fast-fail). Promise/reserve steps are enumerated only when
+  /// \p AllowPromiseReserve (the NP machine passes its switch bit); cancel
+  /// steps are always eligible. When \p TrackNP, the successor records the
+  /// stepping thread and the updated switch bit per Fig 10; otherwise
+  /// Cur/β stay at their fixed interleaving values.
   void liftThreadSuccessors(const MachineState &S, Tid T,
                             bool AllowPromiseReserve, bool TrackNP,
                             std::vector<MachineSuccessor> &Out) const;
@@ -141,7 +142,8 @@ protected:
   bool TrackAcqView;
   std::vector<PromiseDomain> Domains; // Indexed by thread id.
   std::optional<MachineState> Init;
-  std::unique_ptr<CertCache> Cert; // Null when EnableCertCache is off.
+  std::unique_ptr<StoreReach> Reach; // Null when EnablePromises is off.
+  std::unique_ptr<CertCache> Cert;   // Null when EnableCertCache is off.
 };
 
 /// The interleaving machine of Fig 9 (∥ composition).

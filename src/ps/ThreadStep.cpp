@@ -327,14 +327,15 @@ bool programHasAcquireFence(const Program &P) {
   return false;
 }
 
-void enumeratePrcSteps(const Program & /*P*/, Tid T, const ThreadState &TS,
-                       const Memory &M, const PromiseDomain &D,
-                       const StepConfig &C,
-                       std::vector<ThreadSuccessor> &Out) {
+unsigned enumeratePrcSteps(const Program & /*P*/, Tid T,
+                           const ThreadState &TS, const Memory &M,
+                           const PromiseDomain &D, const StepConfig &C,
+                           std::vector<ThreadSuccessor> &Out,
+                           const StoreReach *Reach) {
   if (TS.Local.isTerminated())
-    return;
+    return 0;
 
-  unsigned Promises = 0, Reservations = 0;
+  unsigned Promises = 0, Reservations = 0, Skipped = 0;
   for (const Message *Msg : M.promisesOf(T)) {
     if (Msg->isConcrete())
       ++Promises;
@@ -347,6 +348,10 @@ void enumeratePrcSteps(const Program & /*P*/, Tid T, const ThreadState &TS,
   if (C.EnablePromises && Promises < C.MaxOutstandingPromises) {
     for (VarId X : D.Vars) {
       for (Val V : D.Values) {
+        if (Reach && !Reach->canStore(TS.Local, X, V)) {
+          ++Skipped;
+          continue;
+        }
         for (const Placement &Pl :
              M.enumeratePlacements(X, TS.V.rlxAt(X))) {
           // Promised messages carry the thread's release-fence snapshot,
@@ -392,6 +397,143 @@ void enumeratePrcSteps(const Program & /*P*/, Tid T, const ThreadState &TS,
     S.Mem.removeReservation(Msg->Var, Msg->To);
     Out.push_back(std::move(S));
   }
+  return Skipped;
+}
+
+void StoreReach::Stores::join(const Stores &O) {
+  AnyValue.insert(O.AnyValue.begin(), O.AnyValue.end());
+  Consts.insert(O.Consts.begin(), O.Consts.end());
+  ReachesRet |= O.ReachesRet;
+}
+
+void StoreReach::Stores::transfer(const Instr &I) {
+  if (I.isFence() && fenceHasRel(I.fenceMode())) {
+    *this = Stores{}; // No promise outlives the fence.
+  } else if (I.isStore() && I.writeMode() != WriteMode::REL) {
+    if (std::optional<Val> V = I.expr()->evalConst())
+      Consts.insert({I.var(), *V});
+    else
+      AnyValue.insert(I.var());
+  }
+}
+
+StoreReach::StoreReach(const Program &P) {
+  // Block-entry facts, solved to a fixpoint across all functions at once
+  // (calls make the functions' facts depend on each other, recursively).
+  std::map<FuncId, std::map<BlockLabel, Stores>> In;
+  auto JoinEntry = [&](Stores &Out, FuncId F, BlockLabel L) {
+    auto FIt = In.find(F);
+    if (FIt == In.end())
+      return;
+    auto BIt = FIt->second.find(L);
+    if (BIt != FIt->second.end())
+      Out.join(BIt->second);
+  };
+  // The fact at a terminator. Dangling targets and missing callees abort,
+  // so they contribute nothing.
+  auto AtTerminator = [&](FuncId F, const Terminator &T) {
+    Stores Out;
+    switch (T.kind()) {
+    case Terminator::Kind::Jmp:
+      JoinEntry(Out, F, T.target());
+      break;
+    case Terminator::Kind::Be:
+      JoinEntry(Out, F, T.thenTarget());
+      JoinEntry(Out, F, T.elseTarget());
+      break;
+    case Terminator::Kind::Call:
+      if (P.hasFunction(T.callee()))
+        JoinEntry(Out, T.callee(), P.function(T.callee()).entry());
+      // The frame continues at the return label only if the callee returns.
+      if (Out.ReachesRet) {
+        Out.ReachesRet = false;
+        JoinEntry(Out, F, T.target());
+      }
+      break;
+    case Terminator::Kind::Ret:
+      Out.ReachesRet = true;
+      break;
+    }
+    return Out;
+  };
+  auto BlockEntry = [&](FuncId F, const BasicBlock &B) {
+    Stores Fact = AtTerminator(F, B.terminator());
+    const std::vector<Instr> &Is = B.instructions();
+    for (auto It = Is.rbegin(); It != Is.rend(); ++It)
+      Fact.transfer(*It);
+    return Fact;
+  };
+
+  for (bool Changed = true; Changed;) {
+    Changed = false;
+    for (const auto &[F, Fn] : P.code()) {
+      // Labels in reverse: forward jumps then settle in one round.
+      for (auto It = Fn.blocks().rbegin(); It != Fn.blocks().rend(); ++It) {
+        Stores Fact = BlockEntry(F, It->second);
+        Stores &Slot = In[F][It->first];
+        if (Slot != Fact) {
+          Slot = std::move(Fact);
+          Changed = true;
+        }
+      }
+    }
+  }
+
+  // Replay each block backward from its terminator, one index per control
+  // point; consecutive points without a store or fence share a fact.
+  for (const auto &[F, Fn] : P.code()) {
+    for (const auto &[L, B] : Fn.blocks()) {
+      std::vector<std::uint32_t> &Idx = Points[F][L];
+      Idx.resize(B.size() + 1);
+      Stores Fact = AtTerminator(F, B.terminator());
+      for (std::size_t I = B.size() + 1; I-- > 0;) {
+        if (I < B.size())
+          Fact.transfer(B.instructions()[I]);
+        if (Facts.empty() || Facts.back() != Fact)
+          Facts.push_back(Fact);
+        Idx[I] = static_cast<std::uint32_t>(Facts.size() - 1);
+      }
+    }
+  }
+}
+
+const StoreReach::Stores *StoreReach::at(FuncId F, BlockLabel B,
+                                         unsigned Idx) const {
+  auto FIt = Points.find(F);
+  if (FIt == Points.end())
+    return nullptr;
+  auto BIt = FIt->second.find(B);
+  if (BIt == FIt->second.end())
+    return nullptr;
+  return &Facts[BIt->second[Idx]];
+}
+
+bool StoreReach::canStore(const LocalState &L, VarId X, Val V) const {
+  if (L.isTerminated())
+    return false;
+  const Stores *S = at(L.currentFunc(), L.currentBlock(), L.instrIndex());
+  // Walk outward through the call stack while the inner frame can return.
+  const std::vector<ReturnPoint> &Stack = L.callStack();
+  for (auto It = Stack.rbegin();; ++It) {
+    if (!S)
+      return false;
+    if (S->has(X, V))
+      return true;
+    if (!S->ReachesRet || It == Stack.rend())
+      return false;
+    S = at(It->Func, It->Label, 0);
+  }
+}
+
+bool StoreReach::promisesFulfillable(Tid T, const ThreadState &TS,
+                                     const Memory &M) const {
+  for (const Memory::Loc &L : M.storage())
+    for (const Message &Msg : L.messages())
+      if (Msg.Owner == T && Msg.IsPromise && Msg.isConcrete() &&
+          (!(Msg.To > TS.V.rlxAt(Msg.Var)) ||
+           !canStore(TS.Local, Msg.Var, Msg.Value)))
+        return false;
+  return true;
 }
 
 PromiseDomain computePromiseDomain(const Program &P, FuncId F) {

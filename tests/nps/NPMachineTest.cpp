@@ -11,6 +11,7 @@
 
 #include "lang/Parser.h"
 #include "nps/NPMachine.h"
+#include "support/Statistic.h"
 
 #include <gtest/gtest.h>
 
@@ -134,6 +135,26 @@ TEST(NPMachineTest, PromisesOnlyAtOpenSwitchBit) {
   ASSERT_FALSE(E.S.SwitchAllowed);
   for (const MachineSuccessor &MS : E.succs())
     EXPECT_NE(MS.Ev.ThreadEv.K, ThreadEvent::Kind::Promise);
+}
+
+TEST(NPMachineTest, ClosedBitEnumeratesNoPromiseCandidates) {
+  // With β = •, promise candidates are not even enumerated: every thread
+  // step the machine counts is one it lifts (no promise is outstanding,
+  // so certification rejects nothing here).
+  NPEnv E(TwoNaThreads);
+  for (const MachineSuccessor &MS : E.succs()) {
+    if (MS.Ev.Thread == 0 && MS.Ev.ThreadEv.K == ThreadEvent::Kind::Write &&
+        !MS.State.Mem.hasConcretePromises(0)) {
+      E.S = MS.State;
+      break;
+    }
+  }
+  ASSERT_FALSE(E.S.SwitchAllowed);
+  StatisticSnapshot Before;
+  std::vector<MachineSuccessor> Succs = E.succs();
+  ASSERT_FALSE(Succs.empty());
+  EXPECT_EQ(Before.delta("machine", "thread_steps"), Succs.size());
+  EXPECT_EQ(Before.delta("machine", "unfulfillable_rejects"), 0u);
 }
 
 TEST(NPMachineTest, ThreadExitReopensTheSwitchBit) {

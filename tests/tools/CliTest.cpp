@@ -8,6 +8,7 @@
 
 #include <array>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <iterator>
 #include <string>
@@ -333,6 +334,25 @@ TEST(CliTest, StatsFormatJson) {
   EXPECT_NE(R.Output.find("\"explore.search\": {\"seconds\": "),
             std::string::npos)
       << R.Output;
+}
+
+TEST(CliTest, StatsJsonCountsUnfulfillablePromises) {
+  // The producer's promise domain holds data = 0, which none of its stores
+  // writes: the candidate is dropped before certification, and counted.
+  std::string P = writeTemp("cli_stats_unfulfillable.psopt", MpProgram);
+  auto Rejects = [](const std::string &Out) -> long {
+    const std::string Key = "\"machine.unfulfillable_rejects\": ";
+    std::size_t At = Out.find(Key);
+    return At == std::string::npos
+               ? -1
+               : std::strtol(Out.c_str() + At + Key.size(), nullptr, 10);
+  };
+  CliResult On = runCli("explore --stats-format=json " + P);
+  EXPECT_EQ(On.ExitCode, 0) << On.Output;
+  EXPECT_GT(Rejects(On.Output), 0) << On.Output;
+  CliResult Off = runCli("explore --no-promises --stats-format=json " + P);
+  EXPECT_EQ(Off.ExitCode, 0) << Off.Output;
+  EXPECT_EQ(Rejects(Off.Output), 0) << Off.Output;
 }
 
 TEST(CliTest, TelemetryFlagsAreGlobal) {
