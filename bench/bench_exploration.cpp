@@ -75,6 +75,9 @@ static void BM_Canonicalize(benchmark::State &State) {
 }
 BENCHMARK(BM_Canonicalize)->Arg(4)->Arg(16)->Arg(64);
 
+// A whole-state hash computed from the content: every thread's local state
+// and views, and every message of the memory. (State values keep no hash
+// memo, so each iteration does the full walk.)
 static void BM_StateHash(benchmark::State &State) {
   const LitmusTest &T = litmus("spinlock");
   InterleavingMachine M(T.Prog, T.SuggestedConfig());

@@ -130,7 +130,6 @@ BENCHMARK(BM_ViewJoin)->Arg(2)->Arg(8)->Arg(32);
 
 void BM_ViewCopy(benchmark::State &State) {
   View A = populatedView(static_cast<unsigned>(State.range(0)), 1);
-  benchmark::DoNotOptimize(A.hash());
   for (auto _ : State) {
     View B = A;
     benchmark::DoNotOptimize(&B);
@@ -155,7 +154,6 @@ Memory populatedMemory(unsigned NumLocs, unsigned Msgs) {
 
 void BM_MemoryCopy(benchmark::State &State) {
   Memory M = populatedMemory(static_cast<unsigned>(State.range(0)), 6);
-  benchmark::DoNotOptimize(M.hash());
   for (auto _ : State) {
     Memory C = M;
     benchmark::DoNotOptimize(&C);
@@ -183,7 +181,6 @@ void BM_StateCopy(benchmark::State &State) {
   SC.EnablePromises = false;
   InterleavingMachine M(P, SC);
   MachineState S = walkedState(M, 40);
-  benchmark::DoNotOptimize(S.hash());
   for (auto _ : State) {
     MachineState C = S;
     benchmark::DoNotOptimize(&C);

@@ -30,30 +30,19 @@ bool canonicalizeState(MachineState &S) {
 
   // Successors of a canonical parent are usually still canonical (reads,
   // view joins, and gap-free appends introduce no non-integer timestamps),
-  // so the renaming is the identity and the whole rewrite — and every hash
-  // memo it would invalidate — is skipped.
+  // so the renaming is the identity and the whole rewrite is skipped.
   if (R.isIdentity())
     return false;
 
   R.rewriteMemory(S.Mem);
   for (ThreadState &TS : S.Threads) {
-    bool Changed = false;
-    if (R.changesView(TS.V)) {
+    if (R.changesView(TS.V))
       TS.V = R.mapView(TS.V);
-      Changed = true;
-    }
-    if (R.changesView(TS.Acq)) {
+    if (R.changesView(TS.Acq))
       TS.Acq = R.mapView(TS.Acq);
-      Changed = true;
-    }
-    if (R.changesView(TS.Rel)) {
+    if (R.changesView(TS.Rel))
       TS.Rel = R.mapView(TS.Rel);
-      Changed = true;
-    }
-    if (Changed)
-      TS.invalidateHash();
   }
-  S.invalidateHash();
   return true;
 }
 

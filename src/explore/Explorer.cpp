@@ -80,6 +80,8 @@ BehaviorSet explore(const Machine &M, const ExploreConfig &C) {
   auto Visit = [&](unsigned W, const Node &N, auto &&Push) {
     if (!States.reach(*N.State, N.Outs) || !Engine.claim())
       return;
+    // Bumped per node (the --progress heartbeat reads it live); every
+    // other counter is summed per worker and folded in after the join.
     ++NumExploreNodes;
     PartialBehavior &Sink = Partials[W];
     const Expansion &X = States.expand(*N.State, Sink.Expand);
@@ -93,7 +95,6 @@ BehaviorSet explore(const Machine &M, const ExploreConfig &C) {
       Sink.FusedSteps += X.Chain.Len;
       Sink.SleepSkips += X.Chain.SleepSkips;
     }
-    NumExploreTransitions += X.Edges.size();
     Sink.Transitions += X.Edges.size();
     for (const Edge &E : X.Edges) {
       switch (E.K) {
@@ -131,6 +132,7 @@ BehaviorSet explore(const Machine &M, const ExploreConfig &C) {
     detail::numReductionChainMemoMisses() += L.Expand.Scratch.MemoMisses;
     OutBoundHit |= L.OutBoundHit;
   }
+  NumExploreTransitions += B.Transitions;
   B.Exhausted = !Stats.NodeBoundHit && !OutBoundHit;
   B.NodesVisited = Stats.Expanded;
   // Every visited node expands its state, and each state expands once.

@@ -223,13 +223,16 @@ const ChainOutcome &Reducer::chainFrom(const MachineState &S, Tid T,
   const ThreadState &TS0 = S.Threads[T];
   const std::vector<Memory::Loc> &Locs = S.Mem.storage();
   const std::vector<std::size_t> &Excl = Facts[T].Exclusive;
-  std::size_t Key = TS0.hash();
+  // The hash is cheap and the compare below exact. T's views stay out of
+  // it: entries that agree on T's local state and lists rarely differ in
+  // views alone. The lists are hashed by address: the state graph points
+  // every state it holds at the pooled copy of each list, so within one
+  // exploration equal lists share an address. (States built outside the
+  // graph may miss an equal entry and walk the chain again.)
+  std::size_t Key = TS0.Local.hash();
   hashCombineValue(Key, T);
-  for (std::size_t I : Excl) {
-    hashCombineValue(Key, Locs[I].messages().size());
-    for (const Message &Msg : Locs[I].messages())
-      hashCombine(Key, Msg.hash());
-  }
+  for (std::size_t I : Excl)
+    hashCombineValue(Key, &Locs[I].messages());
 
   auto [First, Last] = Scr.Memo.equal_range(Key);
   for (auto It = First; It != Last; ++It) {
@@ -297,7 +300,6 @@ FusedChain Reducer::selectFused(const MachineState &S, ReducerScratch &Scr,
     Out.State.Threads[T] = C.End;
     for (const auto &[I, L] : C.Stores)
       Out.State.Mem.installListAt(I, L);
-    Out.State.invalidateHash();
     Out.Ev = MachineEvent{};
     Out.Ev.K = MachineEvent::Kind::Tau;
     Out.Ev.Thread = T;
@@ -313,30 +315,14 @@ FusedChain Reducer::selectFused(const MachineState &S, ReducerScratch &Scr,
 }
 
 void Reducer::project(MachineState &S) const {
-  bool Changed = false;
   for (ThreadState &TS : S.Threads) {
     if (!TS.Local.isTerminated())
       continue;
-    bool ThreadChanged = TS.Local.collapseTerminated();
-    if (!(TS.V == View{})) {
-      TS.V = View{};
-      ThreadChanged = true;
-    }
-    if (!(TS.Acq == View{})) {
-      TS.Acq = View{};
-      ThreadChanged = true;
-    }
-    if (!(TS.Rel == View{})) {
-      TS.Rel = View{};
-      ThreadChanged = true;
-    }
-    if (ThreadChanged) {
-      TS.invalidateHash();
-      Changed = true;
-    }
+    TS.Local.collapseTerminated();
+    TS.V = View{};
+    TS.Acq = View{};
+    TS.Rel = View{};
   }
-  if (Changed)
-    S.invalidateHash();
 }
 
 } // namespace psopt

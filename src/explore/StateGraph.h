@@ -105,7 +105,7 @@ public:
 
   /// The pooled copy of \p V, added (and counted) on first use.
   const T &intern(const T &V) {
-    Shard &S = Shards.forHash(HashT{}(V));
+    Shard &S = Shards.forHashOf([&] { return HashT{}(V); });
     std::lock_guard<std::mutex> Lock(S.M);
     auto [It, New] = S.Set.insert(V);
     if (New)

@@ -160,15 +160,12 @@ ReplayVerdict replayCorpusEntry(const CorpusEntry &E, const ExploreConfig &C,
                                 bool CertCache) {
   ReplayVerdict V;
 
-  Program Tgt = E.Prog;
-  for (const std::string &Name : E.Pipeline) {
-    std::unique_ptr<Pass> P = createPassByName(Name);
-    if (!P) {
-      V.Detail = "unknown pass '" + Name + "'";
-      return V;
-    }
-    Tgt = P->run(Tgt);
+  PipelineResult Opt = runPassPipeline(E.Pipeline, E.Prog);
+  if (Opt.UnknownPass) {
+    V.Detail = "unknown pass '" + *Opt.UnknownPass + "'";
+    return V;
   }
+  const Program &Tgt = Opt.Prog;
   if (!isValidProgram(Tgt)) {
     V.Detail = "pipeline produced an invalid program";
     return V;

@@ -113,29 +113,16 @@ struct Oracle {
   }
 };
 
-/// Applies \p Pipeline to \p P; false when a pass name is unknown.
-bool applyPipeline(const std::vector<std::string> &Pipeline, const Program &P,
-                   Program &Out) {
-  Out = P;
-  for (const std::string &Name : Pipeline) {
-    std::unique_ptr<Pass> Pass_ = createPassByName(Name);
-    if (!Pass_)
-      return false;
-    Out = runPassInstrumented(*Pass_, Out);
-  }
-  return true;
-}
-
 /// The refinement oracle as a shrink predicate: the pipeline's output must
 /// keep exhibiting a target-only behavior, exactly (no bound trips).
 bool refinementStillFails(const Program &P,
                           const std::vector<std::string> &Pipeline,
                           const Oracle &O) {
-  Program Tgt;
-  if (!applyPipeline(Pipeline, P, Tgt) || !isValidProgram(Tgt))
+  PipelineResult Tgt = runPassPipeline(Pipeline, P);
+  if (Tgt.UnknownPass || !isValidProgram(Tgt.Prog))
     return false;
   BehaviorSet SrcB = O.explore(P);
-  BehaviorSet TgtB = O.explore(Tgt);
+  BehaviorSet TgtB = O.explore(Tgt.Prog);
   if (!SrcB.Exhausted || !TgtB.Exhausted)
     return false;
   return !checkRefinement(TgtB, SrcB).Holds;
@@ -301,17 +288,18 @@ FuzzReport runFuzzer(const FuzzConfig &C) {
     }
 
     // 2. Run the pipeline; the target must validate.
-    Program Tgt;
-    if (!applyPipeline(Pipeline, Src, Tgt)) {
+    PipelineResult Opt = runPassPipeline(Pipeline, Src);
+    if (Opt.UnknownPass) {
       FuzzFailure F = Report_(FuzzFailure::Kind::InvalidTarget,
                               "unknown pass in pipeline", nullptr);
       Report.Failures.push_back(std::move(F));
       return;
     }
+    const Program &Tgt = Opt.Prog;
     if (!isValidProgram(Tgt)) {
       auto TargetInvalid = [&Pipeline](const Program &P) {
-        Program T;
-        return applyPipeline(Pipeline, P, T) && !isValidProgram(T);
+        PipelineResult T = runPassPipeline(Pipeline, P);
+        return !T.UnknownPass && !isValidProgram(T.Prog);
       };
       Report.Failures.push_back(Report_(FuzzFailure::Kind::InvalidTarget,
                                         "pipeline output fails validation",
@@ -336,8 +324,7 @@ FuzzReport runFuzzer(const FuzzConfig &C) {
                               StillFails);
       // Re-derive the counterexample on the shrunk program and confirm it
       // with a witness (the shrinker may have found a different trace).
-      Program ShrunkTgt;
-      applyPipeline(Pipeline, F.Shrunk, ShrunkTgt);
+      Program ShrunkTgt = runPassPipeline(Pipeline, F.Shrunk).Prog;
       RefinementResult SR =
           checkRefinement(O.explore(ShrunkTgt), O.explore(F.Shrunk));
       if (SR.Cex) {

@@ -41,6 +41,20 @@ Program runPassInstrumented(const Pass &P, const Program &In) {
   return P.run(In);
 }
 
+PipelineResult runPassPipeline(const std::vector<std::string> &Names,
+                               const Program &In) {
+  std::vector<std::unique_ptr<Pass>> Passes;
+  for (const std::string &Name : Names) {
+    Passes.push_back(createPassByName(Name));
+    if (!Passes.back())
+      return {Program{}, Name};
+  }
+  PipelineResult R{In, std::nullopt};
+  for (const std::unique_ptr<Pass> &P : Passes)
+    R.Prog = runPassInstrumented(*P, R.Prog);
+  return R;
+}
+
 std::unique_ptr<Pass> createLICM() {
   std::vector<std::unique_ptr<Pass>> Ps;
   Ps.push_back(createLInv());

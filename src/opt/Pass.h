@@ -22,6 +22,8 @@
 #include "lang/Program.h"
 
 #include <memory>
+#include <optional>
+#include <string>
 #include <vector>
 
 namespace psopt {
@@ -42,9 +44,22 @@ public:
 /// Runs \p P on \p In with telemetry: the run is wrapped in a trace span
 /// (cat "opt", name = pass name, instruction counts as args) and added to
 /// a per-pass-name phase timer keyed "opt.<name>", so --stats and traces
-/// report per-pass pipeline timing. All pipeline drivers — the CLI's
-/// optimize command, PassPipeline, the fuzzer — run passes through this.
+/// report per-pass pipeline timing. All pipeline drivers — PassPipeline
+/// and runPassPipeline, which serves the CLI's optimize command, the
+/// fuzzer and corpus replay — run passes through this.
 Program runPassInstrumented(const Pass &P, const Program &In);
+
+/// The outcome of runPassPipeline: the optimized program, or the first
+/// pass name createPassByName does not know (then no pass has run).
+struct PipelineResult {
+  Program Prog;
+  std::optional<std::string> UnknownPass;
+};
+
+/// Runs the passes named \p Names on \p In in order, each through
+/// runPassInstrumented. Every name is resolved before the first pass runs.
+PipelineResult runPassPipeline(const std::vector<std::string> &Names,
+                               const Program &In);
 
 /// Creates the constant propagation pass (ConstProp, §7.2).
 std::unique_ptr<Pass> createConstProp();

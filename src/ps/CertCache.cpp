@@ -41,7 +41,7 @@ CertCacheKey makeCertCacheKey(Tid T, const ThreadState &TS,
   const std::vector<Memory::Loc> &Locs = K.Mem.storage();
   for (std::size_t I = 0; I < Locs.size(); ++I) {
     // Change scan first: a list with no owned/promise messages keeps its
-    // (COW-shared) storage and memoized hashes.
+    // COW-shared storage instead of being cloned.
     const MessageList &Ms = Locs[I].messages();
     bool Changed = false;
     for (const Message &M : Ms) {
@@ -55,13 +55,10 @@ CertCacheKey makeCertCacheKey(Tid T, const ThreadState &TS,
     for (Message &M : K.Mem.mutableListAt(I)) {
       if (M.Owner == T) {
         M.Owner = 0;
-      } else if (M.Owner != NoTid || M.IsPromise) {
+      } else {
         M.Owner = NoTid;
         M.IsPromise = false;
-      } else {
-        continue; // Untouched; keep the memoized hash.
       }
-      M.invalidateHash();
     }
   }
 
@@ -79,7 +76,7 @@ CertCacheKey makeCertCacheKey(Tid T, const ThreadState &TS,
   K.TS.V = R.mapView(K.TS.V);
   K.TS.Acq = R.mapView(K.TS.Acq);
   K.TS.Rel = R.mapView(K.TS.Rel);
-  K.TS.invalidateHash();
+  K.Hash = K.hash();
   return K;
 }
 
@@ -101,7 +98,7 @@ CertCache::CertCache(unsigned ShardCount, std::size_t MaxEntries) {
 }
 
 std::optional<bool> CertCache::lookup(const CertCacheKey &K) const {
-  Shard &S = shardFor(K.hash());
+  Shard &S = shardFor(K.Hash);
   std::lock_guard<std::mutex> Lock(S.M);
   auto It = S.Map.find(K);
   if (It == S.Map.end()) {
@@ -113,7 +110,7 @@ std::optional<bool> CertCache::lookup(const CertCacheKey &K) const {
 }
 
 void CertCache::insert(const CertCacheKey &K, bool Consistent) {
-  Shard &S = shardFor(K.hash());
+  Shard &S = shardFor(K.Hash);
   std::lock_guard<std::mutex> Lock(S.M);
   auto It = S.Map.find(K);
   if (It != S.Map.end()) {

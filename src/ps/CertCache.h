@@ -34,6 +34,9 @@
 /// bit-identical to recomputation. PSOPT_CERT_CACHE_AUDIT builds verify
 /// this by re-running the search on every hit.
 ///
+/// Each key carries its hash, computed once when makeCertCacheKey builds
+/// it; the shard pick, the map probe and an insert all reuse it.
+///
 /// The cache is sharded with striped locks (same pattern as the state
 /// graph's entry map, explore/Sharded.h): shard selection uses
 /// the high bits of the key hash so striping does not correlate with
@@ -67,11 +70,15 @@ struct CertCacheKey {
   ThreadState TS;
   Memory Mem;
   unsigned CertMaxStates = 0;
+  /// hash() of the fields above, filled once by makeCertCacheKey: a lookup
+  /// needs it for the shard pick and the map probe, an insert twice more.
+  std::size_t Hash = 0;
 
   bool operator==(const CertCacheKey &O) const {
     return CertMaxStates == O.CertMaxStates && TS == O.TS && Mem == O.Mem;
   }
 
+  /// Computes the content hash (makeCertCacheKey stores it in Hash).
   std::size_t hash() const;
 };
 
@@ -82,7 +89,7 @@ CertCacheKey makeCertCacheKey(Tid T, const ThreadState &TS,
                               const Memory &Capped, const StepConfig &C);
 
 struct CertCacheKeyHash {
-  std::size_t operator()(const CertCacheKey &K) const { return K.hash(); }
+  std::size_t operator()(const CertCacheKey &K) const { return K.Hash; }
 };
 
 /// Sharded, striped-lock verdict cache. Thread-safe; one instance is owned

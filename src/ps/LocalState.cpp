@@ -89,18 +89,13 @@ bool LocalState::applyTerminator(const Program &P) {
   PSOPT_UNREACHABLE("bad terminator kind");
 }
 
-bool LocalState::collapseTerminated() {
+void LocalState::collapseTerminated() {
   if (!Terminated)
-    return false;
-  bool Changed = !(Regs == RegFile{}) || CurBlock != 0 || InstrIdx != 0 ||
-                 !Stack.empty();
-  if (Changed) {
-    Regs = RegFile{};
-    CurBlock = 0;
-    InstrIdx = 0;
-    Stack.clear();
-  }
-  return Changed;
+    return;
+  Regs = RegFile{};
+  CurBlock = 0;
+  InstrIdx = 0;
+  Stack.clear();
 }
 
 bool LocalState::operator==(const LocalState &O) const {

@@ -67,10 +67,9 @@ public:
   /// Collapses a terminated state onto its canonical representative: the
   /// residual registers, control point and call stack of a terminated
   /// thread are unreadable (no step relation consults them), so states
-  /// differing only there are observationally equal. Returns true when
-  /// anything changed; no-op on live threads. Used by the explorer's
-  /// reduction layer (explore/Reduction.h).
-  bool collapseTerminated();
+  /// differing only there are observationally equal. No-op on live
+  /// threads. Used by the explorer's reduction layer (explore/Reduction.h).
+  void collapseTerminated();
 
   bool operator==(const LocalState &O) const;
   std::size_t hash() const;

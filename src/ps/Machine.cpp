@@ -20,14 +20,12 @@ static Statistic NumUnfulfillable(
     "promise no reachable store can fulfil");
 
 std::size_t MachineState::hash() const {
-  return memoizedHash(HashCache, [this] {
-    std::size_t Seed = Mem.hash();
-    for (const ThreadState &TS : Threads)
-      hashCombine(Seed, TS.hash());
-    hashCombineValue(Seed, Cur);
-    hashCombineValue(Seed, SwitchAllowed);
-    return hashFinalize(Seed);
-  });
+  std::size_t Seed = Mem.hash();
+  for (const ThreadState &TS : Threads)
+    hashCombine(Seed, TS.hash());
+  hashCombineValue(Seed, Cur);
+  hashCombineValue(Seed, SwitchAllowed);
+  return hashFinalize(Seed);
 }
 
 bool MachineState::allTerminated() const {

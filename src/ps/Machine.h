@@ -43,32 +43,16 @@ struct MachineState {
   bool SwitchAllowed = true;
 
   bool operator==(const MachineState &O) const {
-    // Value-keyed sets (only the tests' reference walks; every search
-    // interns states by component ids) hash both sides before comparing,
-    // so two already-computed unequal memos refute equality without
-    // touching Threads/Mem at all; equal or missing memos fall through to
-    // the full compare, where COW-shared memory lists short-circuit by
-    // pointer identity.
-    std::size_t HA = HashCache.get(), HB = O.HashCache.get();
-    if (HA != 0 && HB != 0 && HA != HB)
-      return false;
     return Cur == O.Cur && SwitchAllowed == O.SwitchAllowed &&
            Threads == O.Threads && Mem == O.Mem;
   }
 
-  /// Memoized whole-state hash. The canonicalizer (the only in-tree code
-  /// that mutates a state after it may have been hashed) invalidates it.
   std::size_t hash() const;
-
-  void invalidateHash() { HashCache.invalidate(); }
 
   /// True when every thread has terminated (trace marker `done`).
   bool allTerminated() const;
 
   std::string str() const;
-
-private:
-  HashMemo HashCache;
 };
 
 /// Label of one machine step (ProgEvt of Fig 8, with abort surfaced).

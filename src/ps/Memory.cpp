@@ -44,9 +44,8 @@ const MessageList &Memory::messages(VarId X) const {
 
 MessageList &Memory::list(VarId X) {
   // Every named-location mutator reaches its list through here: the
-  // copy-on-write choke point. Drops the memoized whole-memory hash, and
-  // clones the list when it is shared with another Memory value.
-  HashCache.invalidate();
+  // copy-on-write choke point, which clones the list when it is shared
+  // with another Memory value.
   auto It = Locs.begin() + (locLowerBound(Locs, X) - Locs.begin());
   if (It == Locs.end() || It->Var != X)
     It = Locs.insert(It, Loc{X, std::make_shared<MessageList>()});
@@ -56,7 +55,6 @@ MessageList &Memory::list(VarId X) {
 }
 
 MessageList &Memory::mutableListAt(std::size_t I) {
-  HashCache.invalidate();
   Loc &L = Locs[I];
   if (L.List.use_count() != 1)
     L.List = std::make_shared<MessageList>(*L.List);
@@ -65,7 +63,6 @@ MessageList &Memory::mutableListAt(std::size_t I) {
 
 void Memory::installListAt(std::size_t I, const Loc &L) {
   PSOPT_CHECK(Locs[I].Var == L.Var, "installListAt: variable mismatch");
-  HashCache.invalidate();
   Locs[I].List = L.List;
 }
 
@@ -120,7 +117,6 @@ void Memory::fulfillPromise(VarId X, const Time &To, const View &NewView) {
   It->Owner = NoTid;
   It->IsPromise = false;
   It->MsgView = NewView;
-  It->invalidateHash();
 }
 
 void Memory::erase(VarId X, const Time &To) {
@@ -268,15 +264,13 @@ bool Memory::operator==(const Memory &O) const {
 }
 
 std::size_t Memory::hash() const {
-  return memoizedHash(HashCache, [this] {
-    std::size_t Seed = 0;
-    for (const Loc &L : Locs) {
-      hashCombineValue(Seed, L.var().raw());
-      for (const Message &M : L.messages())
-        hashCombine(Seed, M.hash());
-    }
-    return hashFinalize(Seed);
-  });
+  std::size_t Seed = 0;
+  for (const Loc &L : Locs) {
+    hashCombineValue(Seed, L.var().raw());
+    for (const Message &M : L.messages())
+      hashCombine(Seed, M.hash());
+  }
+  return hashFinalize(Seed);
 }
 
 std::string Memory::str() const {

@@ -19,8 +19,7 @@
 /// so a copy is one small vector of (VarId, refcount-bump) pairs and the
 /// lists themselves are shared until a mutator touches one. Every mutation
 /// funnels through the copy-on-write choke points list()/mutableListAt(),
-/// which clone a shared list before writing and drop the memoized
-/// whole-memory hash.
+/// which clone a shared list before writing.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -28,7 +27,6 @@
 #define PSOPT_PS_MEMORY_H
 
 #include "ps/Message.h"
-#include "support/Hashing.h"
 
 #include <memory>
 #include <optional>
@@ -143,7 +141,6 @@ public:
 
   bool operator==(const Memory &O) const;
 
-  /// Memoized whole-memory hash (invalidated by every mutator).
   std::size_t hash() const;
   std::string str() const;
 
@@ -151,14 +148,11 @@ public:
   const std::vector<Loc> &storage() const { return Locs; }
 
   /// Copy-on-write mutable access to the message list at storage() index
-  /// \p I: clones the list if it is shared and drops the whole-memory hash
-  /// memo. Callers that rewrite individual messages must also invalidate
-  /// those (Message::invalidateHash).
+  /// \p I: clones the list if it is shared.
   MessageList &mutableListAt(std::size_t I);
 
   /// Makes the location at storage() index \p I share \p L's message list
-  /// (a refcount bump, no copy) and drops the whole-memory hash memo.
-  /// \p L must be for the same variable.
+  /// (a refcount bump, no copy). \p L must be for the same variable.
   void installListAt(std::size_t I, const Loc &L);
 
 private:
@@ -167,7 +161,6 @@ private:
   // Sorted by Var. Within a list, messages are sorted by To (intervals are
   // disjoint, so this equals sorting by From).
   std::vector<Loc> Locs;
-  HashMemo HashCache;
 };
 
 } // namespace psopt

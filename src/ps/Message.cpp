@@ -10,17 +10,15 @@
 namespace psopt {
 
 std::size_t Message::hash() const {
-  return memoizedHash(HashCache, [this] {
-    std::size_t Seed = static_cast<std::size_t>(K);
-    hashCombineValue(Seed, Var.raw());
-    hashCombineValue(Seed, Value);
-    hashCombine(Seed, From.hash());
-    hashCombine(Seed, To.hash());
-    hashCombine(Seed, MsgView.hash());
-    hashCombineValue(Seed, Owner);
-    hashCombineValue(Seed, IsPromise);
-    return hashFinalize(Seed);
-  });
+  std::size_t Seed = static_cast<std::size_t>(K);
+  hashCombineValue(Seed, Var.raw());
+  hashCombineValue(Seed, Value);
+  hashCombine(Seed, From.hash());
+  hashCombine(Seed, To.hash());
+  hashCombine(Seed, MsgView.hash());
+  hashCombineValue(Seed, Owner);
+  hashCombineValue(Seed, IsPromise);
+  return hashFinalize(Seed);
 }
 
 std::string Message::str() const {

@@ -24,7 +24,6 @@
 
 #include "lang/Ops.h"
 #include "ps/View.h"
-#include "support/Hashing.h"
 
 #include <string>
 
@@ -36,13 +35,8 @@ namespace psopt {
 using Tid = int;
 inline constexpr Tid NoTid = -1;
 
-/// One memory message.
-///
-/// hash() is memoized. The fields stay public (the canonicalizer and the
-/// memory rewrite them in place), so any code that mutates a message after
-/// its hash may have been taken must call invalidateHash() — the in-tree
-/// mutation sites are Memory::fulfillPromise and the timestamp renamer;
-/// PSOPT_CERT_CACHE_AUDIT builds verify the discipline on every read.
+/// One memory message. The fields are public: the canonicalizer and the
+/// memory rewrite them in place.
 struct Message {
   enum class Kind : std::uint8_t {
     Concrete, ///< ⟨x : v@(f,t], V⟩
@@ -92,13 +86,6 @@ struct Message {
 
   std::size_t hash() const;
   std::string str() const;
-
-  /// Drops the memoized hash; required after mutating any field of a
-  /// message whose hash may already have been computed.
-  void invalidateHash() { HashCache.invalidate(); }
-
-private:
-  HashMemo HashCache;
 };
 
 } // namespace psopt

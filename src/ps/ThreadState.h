@@ -31,10 +31,6 @@ namespace psopt {
 ///  * Rel snapshots V at a `fence.rel`; subsequent na/rlx messages and
 ///    promises carry it as their message view. It stays ⊥ in fence-free
 ///    programs (only fences write it), so no gate is needed.
-///
-/// hash() is memoized; code that mutates Local or a view on a ThreadState
-/// whose hash may already have been taken (i.e. one copied from a visited
-/// state rather than freshly built) must call invalidateHash().
 struct ThreadState {
   LocalState Local;
   View V;
@@ -46,19 +42,12 @@ struct ThreadState {
   }
 
   std::size_t hash() const {
-    return memoizedHash(HashCache, [this] {
-      std::size_t Seed = Local.hash();
-      hashCombine(Seed, V.hash());
-      hashCombine(Seed, Acq.hash());
-      hashCombine(Seed, Rel.hash());
-      return hashFinalize(Seed);
-    });
+    std::size_t Seed = Local.hash();
+    hashCombine(Seed, V.hash());
+    hashCombine(Seed, Acq.hash());
+    hashCombine(Seed, Rel.hash());
+    return hashFinalize(Seed);
   }
-
-  void invalidateHash() { HashCache.invalidate(); }
-
-private:
-  HashMemo HashCache;
 };
 
 } // namespace psopt

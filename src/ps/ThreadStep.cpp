@@ -44,7 +44,6 @@ void applyRead(ThreadState &TS, VarId X, ReadMode RM, RegId Dest, Val RegVal,
     TS.Acq.join(Msg.MsgView);
   TS.Local.regs().set(Dest, RegVal);
   TS.Local.advance();
-  TS.invalidateHash();
 }
 
 /// Shared context for building successors of one (thread, state, memory).
@@ -222,7 +221,6 @@ bool stepInPlace(const Program &P, Tid T, ThreadState &TS, const Memory &M,
     if (!TS.Local.applyTerminator(P))
       return false;
     Ev = ThreadEvent::tau();
-    TS.invalidateHash();
     return true;
   }
 
@@ -273,7 +271,6 @@ bool stepInPlace(const Program &P, Tid T, ThreadState &TS, const Memory &M,
     return false;
   }
   TS.Local.advance();
-  TS.invalidateHash();
   return true;
 }
 

@@ -35,8 +35,8 @@ void TimeRenamer::rewriteMemory(Memory &M) const {
     return;
   const std::vector<Memory::Loc> &Locs = M.storage();
   for (std::size_t I = 0; I < Locs.size(); ++I) {
-    // Change scan first: an untouched list keeps its shared storage and
-    // every memoized message hash.
+    // Change scan first: an untouched list keeps its shared storage, so
+    // the state graph can reuse the list's pooled id.
     const MessageList &Ms = Locs[I].messages();
     bool Changed = false;
     for (const Message &Msg : Ms) {
@@ -48,13 +48,10 @@ void TimeRenamer::rewriteMemory(Memory &M) const {
     }
     if (!Changed)
       continue;
-    // mutableListAt drops the whole-memory memo (and un-shares the list);
-    // each rewritten message additionally drops its own.
     for (Message &Msg : M.mutableListAt(I)) {
       Msg.From = map(Msg.From);
       Msg.To = map(Msg.To);
       Msg.MsgView = mapView(Msg.MsgView);
-      Msg.invalidateHash();
     }
   }
 }

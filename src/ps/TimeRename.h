@@ -19,8 +19,9 @@
 /// *identity* renaming (the noted set is already exactly 0..n-1). States
 /// derived from a canonical parent by reads, joins, and gap-free appends
 /// stay canonical, so on the explorer's hot path the renaming is usually
-/// the identity and the rewrite pass — along with every hash memo it would
-/// invalidate — can be skipped wholesale (DESIGN.md §11).
+/// the identity and the rewrite pass can be skipped wholesale (DESIGN.md
+/// §11). When it does run, message lists it leaves unchanged stay shared
+/// copy-on-write with the parent's.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -60,8 +61,7 @@ public:
   void freeze();
 
   /// True when the frozen renaming maps every noted timestamp to itself.
-  /// Callers then skip the rewrite pass entirely, preserving every memoized
-  /// hash in the structure.
+  /// Callers then skip the rewrite pass entirely.
   bool isIdentity() const { return Identity; }
 
   Time map(const Time &T) const {
@@ -82,7 +82,7 @@ public:
   }
 
   /// True when mapping would change some entry of \p TM / \p V (used to
-  /// leave untouched structures — and their hash memos — alone).
+  /// leave untouched structures alone).
   bool changesTimeMap(const TimeMap &TM) const {
     for (const auto &[X, T] : TM.entries())
       if (map(T) != T)
@@ -95,17 +95,16 @@ public:
 
   View mapView(const View &V) const {
     if (Identity || !changesView(V))
-      return V; // Copy keeps the memoized hash.
+      return V;
     View Out;
     Out.setNa(mapTimeMap(V.na()));
     Out.setRlx(mapTimeMap(V.rlx()));
     return Out;
   }
 
-  /// Rewrites every message interval and message view of \p M in place,
-  /// invalidating the per-message and whole-memory hash memos. Location
-  /// lists the renaming leaves unchanged are skipped, so their (possibly
-  /// COW-shared) storage and memos survive.
+  /// Rewrites every message interval and message view of \p M in place.
+  /// Location lists the renaming leaves unchanged are skipped, so their
+  /// (possibly COW-shared) storage survives.
   void rewriteMemory(Memory &M) const;
 
 private:

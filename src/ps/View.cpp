@@ -97,11 +97,9 @@ std::string TimeMap::str() const {
 }
 
 std::size_t View::hash() const {
-  return memoizedHash(HashCache, [this] {
-    std::size_t Seed = Na.hash();
-    hashCombine(Seed, Rlx.hash());
-    return hashFinalize(Seed);
-  });
+  std::size_t Seed = Na.hash();
+  hashCombine(Seed, Rlx.hash());
+  return hashFinalize(Seed);
 }
 
 std::string View::str() const {

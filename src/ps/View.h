@@ -26,7 +26,6 @@
 #ifndef PSOPT_PS_VIEW_H
 #define PSOPT_PS_VIEW_H
 
-#include "support/Hashing.h"
 #include "support/Rational.h"
 #include "support/Symbol.h"
 
@@ -121,10 +120,6 @@ private:
 
 /// A thread view V = (Tna, Trlx). Invariant (established by the step
 /// relation): Tna ≤ Trlx pointwise.
-///
-/// The time maps are private so that every mutation funnels through a
-/// method that drops the memoized hash (hash() is on the explorer's and the
-/// certification cache's hot probe paths).
 class View {
 public:
   const TimeMap &na() const { return Na; }
@@ -134,38 +129,19 @@ public:
   Time naAt(VarId X) const { return Na.get(X); }
   Time rlxAt(VarId X) const { return Rlx.get(X); }
 
-  void setNaAt(VarId X, const Time &T) {
-    Na.set(X, T);
-    HashCache.invalidate();
-  }
-  void setRlxAt(VarId X, const Time &T) {
-    Rlx.set(X, T);
-    HashCache.invalidate();
-  }
-  void joinNaAt(VarId X, const Time &T) {
-    Na.joinAt(X, T);
-    HashCache.invalidate();
-  }
-  void joinRlxAt(VarId X, const Time &T) {
-    Rlx.joinAt(X, T);
-    HashCache.invalidate();
-  }
+  void setNaAt(VarId X, const Time &T) { Na.set(X, T); }
+  void setRlxAt(VarId X, const Time &T) { Rlx.set(X, T); }
+  void joinNaAt(VarId X, const Time &T) { Na.joinAt(X, T); }
+  void joinRlxAt(VarId X, const Time &T) { Rlx.joinAt(X, T); }
 
   /// Wholesale replacement (the canonicalizer rebuilds renamed maps).
-  void setNa(TimeMap TM) {
-    Na = std::move(TM);
-    HashCache.invalidate();
-  }
-  void setRlx(TimeMap TM) {
-    Rlx = std::move(TM);
-    HashCache.invalidate();
-  }
+  void setNa(TimeMap TM) { Na = std::move(TM); }
+  void setRlx(TimeMap TM) { Rlx = std::move(TM); }
 
   /// Pointwise join (V1 ⊔ V2).
   void join(const View &O) {
     Na.join(O.Na);
     Rlx.join(O.Rlx);
-    HashCache.invalidate();
   }
 
   bool operator==(const View &O) const { return Na == O.Na && Rlx == O.Rlx; }
@@ -176,7 +152,6 @@ public:
 private:
   TimeMap Na;
   TimeMap Rlx;
-  HashMemo HashCache;
 };
 
 /// The bottom view V⊥ (all zeros).

@@ -124,7 +124,12 @@ public:
 
     bool Ok = check(Init);
     R.Holds = Ok;
-    R.FailReason = FirstFail;
+    // A cut configuration counts as bad, so a cut can only turn a verdict
+    // into a refutation, and every failure reported after it may stem
+    // from it.
+    R.Bounded = !Ok && BudgetHit;
+    if (!Ok && !BudgetHit)
+      R.FailReason = FirstFail;
     R.ConfigsVisited = Memo.size();
     return R;
   }
@@ -142,8 +147,10 @@ private:
     auto It = Memo.find(N);
     if (It != Memo.end())
       return It->second != Status::Bad; // InProgress: coinductive yes.
-    if (Memo.size() >= Cfg.MaxConfigs)
-      return fail("configuration budget exhausted");
+    if (Memo.size() >= Cfg.MaxConfigs) {
+      BudgetHit = true;
+      return false;
+    }
     auto [Slot, Inserted] = Memo.emplace(N, Status::InProgress);
     bool Ok = evaluate(N);
     Slot->second = Ok ? Status::Good : Status::Bad;
@@ -418,6 +425,7 @@ private:
   PromiseDomain TgtDomain, SrcDomain;
   std::unordered_map<SimNode, Status, SimNodeHash> Memo;
   std::string FirstFail;
+  bool BudgetHit = false;
 };
 
 } // namespace

@@ -70,15 +70,20 @@ struct SimConfig {
   std::uint64_t DelayFuel = 8;
   /// Maximum source steps in one response (the na* prefix).
   unsigned MaxSourceSteps = 8;
-  /// Product-configuration budget.
+  /// Product-configuration budget. A search it cuts short reports
+  /// SimResult::Bounded rather than a refutation.
   std::uint64_t MaxConfigs = 200000;
   /// Whether target promise/reserve/cancel steps are explored (Fig 14c).
   bool TargetPromises = false;
 };
 
-/// Verdict of a simulation check.
+/// Verdict of a simulation check. Not Holds and not Bounded means the
+/// simulation is refuted.
 struct SimResult {
   bool Holds = false;
+  /// The MaxConfigs budget cut the search before it could show the
+  /// simulation; the verdict is unknown and FailReason stays empty.
+  bool Bounded = false;
   std::string FailReason;       ///< first refutation, human-readable
   std::uint64_t ConfigsVisited = 0;
 

@@ -9,14 +9,15 @@
 /// dense maps keyed on machine states. The mixing function is the 64-bit
 /// variant of boost::hash_combine with a splitmix-style finalizer.
 ///
+/// State values keep no hash memo: every hash() computes from the content.
+/// A table that needs a key's hash more than once stores it next to the
+/// key (StateKey, PooledList, CertCacheKey).
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef PSOPT_SUPPORT_HASHING_H
 #define PSOPT_SUPPORT_HASHING_H
 
-#include "support/Debug.h"
-
-#include <atomic>
 #include <cstdint>
 #include <cstddef>
 #include <functional>
@@ -42,62 +43,6 @@ inline std::size_t hashFinalize(std::size_t H) {
   H ^= H >> 27;
   H *= 0x94d049bb133111ebULL;
   H ^= H >> 31;
-  return H;
-}
-
-/// A lazily filled hash slot for value types whose hash is requested many
-/// times between mutations (states in visited sets, certification-cache
-/// keys). 0 means "not computed"; stored hashes are nudged to 1 in the
-/// (astronomically rare) case the real hash is 0, so the nudged value is
-/// still a deterministic function of the content.
-///
-/// The slot is a relaxed atomic so that hashing the same frozen object from
-/// two explorer workers is race-free; there is no ordering to establish —
-/// every writer stores the same value for the same content. Copies carry
-/// the cached hash (equal content, equal hash); owners that mutate their
-/// content MUST call invalidate() or the cache goes stale, which the
-/// PSOPT_CERT_CACHE_AUDIT build verifies on every read.
-class HashMemo {
-public:
-  HashMemo() = default;
-  HashMemo(const HashMemo &O)
-      : Slot(O.Slot.load(std::memory_order_relaxed)) {}
-  HashMemo &operator=(const HashMemo &O) {
-    Slot.store(O.Slot.load(std::memory_order_relaxed),
-               std::memory_order_relaxed);
-    return *this;
-  }
-
-  /// The cached hash, or 0 when none has been computed.
-  std::size_t get() const { return Slot.load(std::memory_order_relaxed); }
-  void set(std::size_t H) const {
-    Slot.store(H, std::memory_order_relaxed);
-  }
-  void invalidate() { Slot.store(0, std::memory_order_relaxed); }
-
-private:
-  mutable std::atomic<std::size_t> Slot{0};
-};
-
-/// Returns \p Memo's cached hash, computing it with \p Compute on first use.
-/// Under PSOPT_CERT_CACHE_AUDIT every cached read is cross-checked against
-/// a fresh recomputation — a mismatch means some mutation path forgot to
-/// invalidate, and the process aborts rather than explore a corrupt graph.
-template <typename ComputeT>
-std::size_t memoizedHash(const HashMemo &Memo, ComputeT &&Compute) {
-  if (std::size_t Cached = Memo.get()) {
-#ifdef PSOPT_CERT_CACHE_AUDIT
-    std::size_t Fresh = Compute();
-    if (Fresh == 0)
-      Fresh = 1;
-    PSOPT_CHECK(Fresh == Cached, "stale memoized hash (missing invalidate)");
-#endif
-    return Cached;
-  }
-  std::size_t H = Compute();
-  if (H == 0)
-    H = 1;
-  Memo.set(H);
   return H;
 }
 

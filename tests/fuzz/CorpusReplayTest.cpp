@@ -15,10 +15,13 @@
 //===----------------------------------------------------------------------===//
 
 #include "fuzz/Corpus.h"
+#include "support/Timer.h"
 
 #include <gtest/gtest.h>
 
 #include <cctype>
+#include <cstring>
+#include <map>
 
 namespace psopt {
 namespace {
@@ -60,6 +63,35 @@ std::string testName(const ::testing::TestParamInfo<std::string> &Info) {
 INSTANTIATE_TEST_SUITE_P(Corpus, CorpusReplayTest,
                          ::testing::ValuesIn(listCorpusFiles(PSOPT_CORPUS_DIR)),
                          testName);
+
+/// Completed scopes of the "opt.<Name>" phase timer (0 before its first
+/// run registers it).
+std::uint64_t passScopes(const std::string &Name) {
+  for (const PhaseTimer *T : allPhaseTimers())
+    if (std::strcmp(T->group(), "opt") == 0 && Name == T->name())
+      return T->count();
+  return 0;
+}
+
+TEST(CorpusReplayTelemetryTest, ReplayTimesEveryPass) {
+  // Replay runs its pipeline like every other driver, so each pass lands
+  // in its opt.<name> phase timer (and trace span).
+  std::string Err;
+  std::optional<CorpusEntry> E = loadCorpusEntry(
+      std::string(PSOPT_CORPUS_DIR) + "/fig15_pipeline_hold.rtl", Err);
+  ASSERT_TRUE(E.has_value()) << Err;
+  ASSERT_GE(E->Pipeline.size(), 2u);
+  std::map<std::string, std::uint64_t> Expected;
+  for (const std::string &Name : E->Pipeline)
+    Expected[Name] = passScopes(Name);
+  for (const std::string &Name : E->Pipeline)
+    ++Expected[Name];
+
+  ReplayVerdict V = replayCorpusEntry(*E, ExploreConfig{}, true);
+  EXPECT_TRUE(V.Match) << V.Detail;
+  for (const auto &[Name, Scopes] : Expected)
+    EXPECT_GE(passScopes(Name), Scopes) << "opt." << Name; // licm runs cse
+}
 
 // The corpus is meant to grow; an empty directory means the build is
 // pointing somewhere wrong.

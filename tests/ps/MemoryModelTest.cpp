@@ -223,7 +223,6 @@ TEST(MemoryModelTest, AcqViewTrackingIsFreeWithoutFences) {
           Banked += !(On[I].TS.Acq == Off[I].TS.Acq);
           ThreadState Stripped = On[I].TS;
           Stripped.Acq = Off[I].TS.Acq;
-          Stripped.invalidateHash();
           EXPECT_TRUE(Stripped == Off[I].TS);
           EXPECT_TRUE(On[I].Ev == Off[I].Ev);
           EXPECT_TRUE(On[I].Mem == Off[I].Mem);

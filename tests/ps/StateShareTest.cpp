@@ -6,7 +6,7 @@
 ///
 /// The structure-sharing state representation (DESIGN.md §11): copying a
 /// MachineState must be observationally a deep copy — mutating a successor
-/// (its memory, its views, its hashes) never perturbs the parent — even
+/// (its memory, its views) never perturbs the parent — even
 /// though memory message lists are shared copy-on-write under the hood.
 /// Alongside the COW-aliasing units, a randomized parent-child divergence
 /// sweep drives real successor enumeration on random programs and checks
@@ -27,7 +27,7 @@ namespace psopt {
 namespace {
 
 /// A full observational snapshot of a machine state: rendered text plus the
-/// memoized hashes. Any later mutation of a *different* state value must
+/// content hashes. Any later mutation of a *different* state value must
 /// leave all of it unchanged.
 struct StateSnapshot {
   std::string Str;
@@ -145,13 +145,10 @@ TEST(StateShareTest, SuccessorMutationNeverPerturbsParent) {
     for (MachineSuccessor &S : Succs) {
       canonicalizeState(S.State);
       // Arbitrary child-side abuse: join views forward, touch memory.
-      for (ThreadState &TS : S.State.Threads) {
+      for (ThreadState &TS : S.State.Threads)
         TS.V.joinRlxAt(VarId("ss_poison"), Time(99));
-        TS.invalidateHash();
-      }
       S.State.Mem.insert(Message::concrete(VarId("ss_poison"), 1, Time(100),
                                            Time(101), View{}));
-      S.State.invalidateHash();
       (void)S.State.hash();
     }
     Snap.expectUnchanged(Parent);
@@ -202,11 +199,8 @@ TEST(StateShareTest, RandomizedParentChildDivergence) {
         S.State.Mem.insert(Message::concrete(
             VarId("ss_noise"), 5, Time(500 + Depth), Time(501 + Depth),
             View{}));
-        for (ThreadState &TS : S.State.Threads) {
+        for (ThreadState &TS : S.State.Threads)
           TS.V.setRlxAt(VarId("ss_noise"), Time(501 + Depth));
-          TS.invalidateHash();
-        }
-        S.State.invalidateHash();
         (void)S.State.hash();
       }
       for (std::size_t J = 0; J < Trail.size(); ++J)
@@ -221,10 +215,9 @@ TEST(StateShareTest, RandomizedParentChildDivergence) {
 }
 
 TEST(StateShareTest, HashFastPathAgreesWithEquality) {
-  // MachineState::operator== short-circuits on the memoized hash; equal
-  // states must still compare equal after independent hash computation,
-  // and unequal states must compare unequal even when built identically
-  // up to one message.
+  // Value-keyed sets probe by hash, then equality: equal states must hash
+  // alike and compare equal whether or not either was hashed first, and a
+  // successor must compare unequal to its parent.
   const LitmusTest &T = litmus("sb");
   InterleavingMachine M(T.Prog, T.SuggestedConfig());
   ASSERT_TRUE(M.initial());

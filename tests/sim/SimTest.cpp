@@ -76,6 +76,24 @@ TEST(SimCheckerTest, ReorderWithIid) {
   std::vector<EnvAction> Env{{"write x:=7", VarId("x"), 7}};
   SimResult R = checkThreadSimulation(Tgt, Src, FuncId("f"), *Iid, Env);
   EXPECT_TRUE(R.Holds) << R.FailReason;
+  EXPECT_FALSE(R.Bounded);
+}
+
+TEST(SimCheckerTest, BudgetCutIsBoundedNotRefuted) {
+  // The pair simulates under the default budget (ReorderWithIid); one
+  // configuration cuts the search right after the initial one, which
+  // leaves the verdict unknown rather than refuted.
+  Program Src = parseProgramOrDie(ReorderSrc);
+  Program Tgt = parseProgramOrDie(ReorderTgt);
+  auto Iid = createIdentityInvariant();
+  std::vector<EnvAction> Env{{"write x:=7", VarId("x"), 7}};
+  SimConfig C;
+  C.MaxConfigs = 1;
+  SimResult R = checkThreadSimulation(Tgt, Src, FuncId("f"), *Iid, Env, C);
+  EXPECT_FALSE(R.Holds);
+  EXPECT_TRUE(R.Bounded);
+  EXPECT_EQ(R.FailReason, "");
+  EXPECT_EQ(R.ConfigsVisited, 1u);
 }
 
 TEST(SimCheckerTest, IdenticalProgramsTriviallySimulate) {
@@ -93,6 +111,8 @@ TEST(SimCheckerTest, WrongValueIsRefuted) {
   auto Iid = createIdentityInvariant();
   SimResult R = checkThreadSimulation(Tgt, Src, FuncId("f"), *Iid, {});
   EXPECT_FALSE(R.Holds);
+  EXPECT_FALSE(R.Bounded);
+  EXPECT_NE(R.FailReason, "");
 }
 
 TEST(SimCheckerTest, MissingSourceWriteIsRefuted) {

@@ -620,18 +620,16 @@ int cmdOptimize(const Options &O) {
     std::fprintf(stderr, "optimize requires --passes=...\n");
     return 2;
   }
-  Program Cur = std::move(P);
+  std::vector<std::string> Names;
   std::stringstream SS(O.Passes);
-  std::string Name;
-  while (std::getline(SS, Name, ',')) {
-    std::unique_ptr<Pass> Pass_ = createPassByName(Name);
-    if (!Pass_) {
-      std::fprintf(stderr, "unknown pass: %s\n", Name.c_str());
-      return 2;
-    }
-    Cur = runPassInstrumented(*Pass_, Cur);
+  for (std::string Name; std::getline(SS, Name, ',');)
+    Names.push_back(Name);
+  PipelineResult R = runPassPipeline(Names, P);
+  if (R.UnknownPass) {
+    std::fprintf(stderr, "unknown pass: %s\n", R.UnknownPass->c_str());
+    return 2;
   }
-  std::printf("%s", printProgram(Cur).c_str());
+  std::printf("%s", printProgram(R.Prog).c_str());
   return 0;
 }
 
