@@ -33,10 +33,15 @@ struct Node {
   TraceTrie::Id Outs;
 };
 
+/// How many nodes a worker visits between two updates of the shared
+/// explore.nodes counter (a power of two).
+constexpr std::uint64_t NodesFlush = 256;
+
 /// Worker-private counters and buffers, summed after the pool joins (the
 /// traces land in the trie). Padded out to a cache line so neighboring
 /// workers' counters don't false-share.
 struct alignas(64) PartialBehavior {
+  std::uint64_t Nodes = 0;
   std::uint64_t Transitions = 0;
   std::uint64_t AmpleNodes = 0;
   std::uint64_t FusedSteps = 0;
@@ -80,10 +85,12 @@ BehaviorSet explore(const Machine &M, const ExploreConfig &C) {
   auto Visit = [&](unsigned W, const Node &N, auto &&Push) {
     if (!States.reach(*N.State, N.Outs) || !Engine.claim())
       return;
-    // Bumped per node (the --progress heartbeat reads it live); every
-    // other counter is summed per worker and folded in after the join.
-    ++NumExploreNodes;
+    // Every counter is summed per worker and folded in after the join,
+    // but the --progress heartbeat reads explore.nodes live: each worker
+    // publishes its nodes 256 at a time, the rest after the join.
     PartialBehavior &Sink = Partials[W];
+    if ((++Sink.Nodes & (NodesFlush - 1)) == 0)
+      NumExploreNodes += NodesFlush;
     const Expansion &X = States.expand(*N.State, Sink.Expand);
     std::uint8_t Ends = TraceTrie::Prefix;
     if (X.Done)
@@ -124,6 +131,9 @@ BehaviorSet explore(const Machine &M, const ExploreConfig &C) {
   Traces.collect(B);
   bool OutBoundHit = false;
   for (const PartialBehavior &L : Partials) {
+    NumExploreNodes += L.Nodes & (NodesFlush - 1);
+    // Every visited node expands its state, and each state expands once.
+    B.UniqueStates += L.Expand.Expanded;
     B.Transitions += L.Transitions;
     detail::numReductionAmpleNodes() += L.AmpleNodes;
     detail::numReductionFusedSteps() += L.FusedSteps;
@@ -135,8 +145,6 @@ BehaviorSet explore(const Machine &M, const ExploreConfig &C) {
   NumExploreTransitions += B.Transitions;
   B.Exhausted = !Stats.NodeBoundHit && !OutBoundHit;
   B.NodesVisited = Stats.Expanded;
-  // Every visited node expands its state, and each state expands once.
-  B.UniqueStates = States.expanded();
 
   Span.arg("nodes", B.NodesVisited)
       .arg("unique_states", B.UniqueStates)

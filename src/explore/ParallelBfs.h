@@ -20,6 +20,11 @@
 ///  * the expansion count is deterministic: min(|reachable graph|,
 ///    MaxNodes).
 ///
+/// Per node a worker writes shared memory only where the search needs it
+/// (DESIGN.md §7): its own queue's lock, the Claimed count, and at most
+/// one update of the pending count, since a node's children are queued
+/// together after its visit.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef PSOPT_EXPLORE_PARALLELBFS_H
@@ -81,10 +86,11 @@ public:
   /// Runs the search from \p Root. \p Visit is invoked for every popped
   /// node until the search stops, concurrently from up to Jobs workers, as
   ///   Visit(WorkerId, const NodeT &, Push)
-  /// where Push(NodeT &&) enqueues a child. Single-shot: construct a
-  /// fresh engine per search.
+  /// where Push(NodeT &&) adds a child, queued once Visit returns.
+  /// Single-shot: construct a fresh engine per search.
   template <typename VisitT> Stats run(NodeT Root, VisitT &&Visit) {
-    pushWork(0, std::move(Root));
+    Pending.store(1, std::memory_order_relaxed);
+    Queues[0].D.push_back(std::move(Root));
     // The calling thread doubles as worker 0; only Jobs - 1 threads spawn.
     std::vector<std::thread> Workers;
     Workers.reserve(Jobs - 1);
@@ -102,15 +108,33 @@ public:
   }
 
 private:
-  struct WorkQueue {
+  /// The size of a cache line: every line a worker writes in the pool is
+  /// its own, so one worker's write does not evict a line others read.
+  static constexpr std::size_t LineSize = 64;
+
+  struct alignas(LineSize) WorkQueue {
     std::mutex M;
     std::deque<NodeT> D;
   };
 
-  void pushWork(unsigned W, NodeT &&N) {
-    Pending.fetch_add(1, std::memory_order_relaxed);
-    std::lock_guard<std::mutex> Lock(Queues[W].M);
-    Queues[W].D.push_back(std::move(N));
+  /// Queues the children \p Kids of a node worker \p W visited, all under
+  /// one lock, and settles the pending count with at most one update:
+  /// the node was counted until now and each child is counted from now,
+  /// so k children add k - 1. The count is raised before the children are
+  /// visible, so it never reaches zero while work remains.
+  void finishNode(unsigned W, std::vector<NodeT> &Kids) {
+    if (Kids.empty()) {
+      Pending.fetch_sub(1, std::memory_order_release);
+      return;
+    }
+    if (Kids.size() > 1)
+      Pending.fetch_add(Kids.size() - 1, std::memory_order_relaxed);
+    {
+      std::lock_guard<std::mutex> Lock(Queues[W].M);
+      for (NodeT &K : Kids)
+        Queues[W].D.push_back(std::move(K));
+    }
+    Kids.clear();
   }
 
   /// Pops from the owner's tail, else steals from a victim's head
@@ -150,7 +174,9 @@ private:
     TraceSpan Span("explore", "worker");
     std::uint64_t Popped = 0, Steals = 0, IdleWaits = 0;
 
-    auto Push = [this, W](NodeT &&N) { pushWork(W, std::move(N)); };
+    // A visit's children are buffered and queued once it returns.
+    std::vector<NodeT> Kids;
+    auto Push = [&Kids](NodeT &&N) { Kids.push_back(std::move(N)); };
     unsigned IdleSpins = 0;
     for (;;) {
       bool Stolen = false;
@@ -178,7 +204,7 @@ private:
       // Draining after a bound trip or stop(): don't visit.
       if (!Stop.load(std::memory_order_relaxed))
         Visit(W, *N, Push);
-      Pending.fetch_sub(1, std::memory_order_release);
+      finishNode(W, Kids);
     }
     detail::numBfsSteals() += Steals;
     detail::numBfsIdleWaits() += IdleWaits;
@@ -191,9 +217,14 @@ private:
   const unsigned Jobs;
   const std::uint64_t MaxNodes;
   std::vector<WorkQueue> Queues;
-  std::atomic<std::uint64_t> Pending{0};
-  std::atomic<std::uint64_t> Claimed{0};
-  std::atomic<bool> Stop{false};
+  /// Nodes queued or being visited; written by a node with no child or
+  /// several. Alone on its line, like Claimed.
+  alignas(LineSize) std::atomic<std::uint64_t> Pending{0};
+  /// Expansions claimed; written once per expanded node.
+  alignas(LineSize) std::atomic<std::uint64_t> Claimed{0};
+  /// Read once per node and written only when the search stops, so its
+  /// line stays shared between the workers' caches.
+  alignas(LineSize) std::atomic<bool> Stop{false};
   std::atomic<bool> NodeBound{false};
 };
 

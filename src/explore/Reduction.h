@@ -107,7 +107,9 @@ struct ChainMemoEntry {
 /// Per-worker scratch for the reduction layer: buffers reused across node
 /// expansions to keep the hot path allocation-free, and the chain memo.
 /// A scratch serves one Reducer at a time; passing it to another Reducer
-/// drops the memo.
+/// drops the memo. The memo copies the exclusive lists of the states it
+/// saw, borrowed where those states borrow them (a state graph's states,
+/// DESIGN.md §11), so a scratch must not outlive the graph it served.
 struct ReducerScratch {
   std::vector<ThreadSuccessor> Steps;   ///< store/CAS enumeration buffer
   std::vector<std::size_t> ChainLocals; ///< local-state hashes along a chain

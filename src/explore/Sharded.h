@@ -52,13 +52,6 @@ public:
     return Bits ? Shards[H >> (8 * sizeof(std::size_t) - Bits)] : Shards[0];
   }
 
-  /// forHash(\p Hash()), calling \p Hash only when there is more than one
-  /// shard: a table whose container hashes the element again on insert
-  /// then hashes it once at one worker.
-  template <typename HashFn> ShardT &forHashOf(HashFn &&Hash) {
-    return Bits ? forHash(Hash()) : Shards[0];
-  }
-
   /// The shards in index order, for walks once the writers are done.
   auto begin() const { return Shards.begin(); }
   auto end() const { return Shards.end(); }

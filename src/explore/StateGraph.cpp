@@ -60,20 +60,21 @@ StateEntry &StateGraph::intern(MachineState &&S, const MachineState *Parent,
     std::size_t W = 1 + T;
     Words[W] = Parent && !Renamed && T != std::size_t(Stepper)
                    ? ParentKey->Words[W]
-                   : idOf(Threads.intern(Ts[T]));
+                   : idOf(Threads.intern(Ts[T], Ts[T].hash()));
   }
   for (std::size_t I = 0; I < Locs.size(); ++I) {
     std::size_t W = 1 + Ts.size() + I;
+    // The parent's lists are the pool's, borrowed.
     if (Parent && Locs[I].sharesListWith(Parent->Mem.storage()[I])) {
       Words[W] = ParentKey->Words[W];
       continue;
     }
-    const detail::PooledList &P =
-        Lists.intern(detail::PooledList::of(Locs[I]));
-    // Point the state at the pooled allocation, so its own children
-    // share the list with it by pointer and skip the pool.
-    if (!Locs[I].sharesListWith(P.L))
-      S.Mem.installListAt(I, P.L);
+    const detail::Pooled<Memory::Loc> &P =
+        Lists.intern(Locs[I], detail::listHash(Locs[I]));
+    // Point the state at the pooled list, borrowed: its own children
+    // share the list with it by pointer and skip the pool, and copying
+    // or dropping any of them touches no refcount (DESIGN.md §11).
+    S.Mem.borrowListAt(I, P.Value);
     Words[W] = idOf(P);
   }
 
@@ -105,8 +106,10 @@ void StateGraph::fill(const MachineState &S, const StateKey &Key,
     Succs.resize(1);
     X.Chain = Red->selectFused(S, Scr.Scratch, Succs[0]);
   }
-  if (X.Chain.Len == 0)
+  if (X.Chain.Len == 0) {
+    ThreadStepTally Tally(Scr.ThreadSteps);
     M.successors(S, Succs);
+  }
   // Empty Edges is the blocked state. It is never a reduction artifact: a
   // fused successor always exists when selection succeeds, so emptiness
   // means the full relation is empty.

@@ -23,7 +23,6 @@
 #include "support/Statistic.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -45,7 +44,8 @@ struct StateKey {
   std::size_t Hash; ///< the finalized fold of the words
 
   bool operator==(const StateKey &O) const {
-    return Len == O.Len && std::equal(Words, Words + Len, O.Words);
+    return Hash == O.Hash && Len == O.Len &&
+           std::equal(Words, Words + Len, O.Words);
   }
 };
 
@@ -81,75 +81,111 @@ struct StateSlot {
   std::vector<TraceTrie::Id> Reached;
 };
 
-/// A search worker's expansion buffers, reused across expansions.
+/// A search worker's expansion buffers, reused across expansions, and
+/// the counts it charges per state instead of writing shared counters:
+/// the search sums Expanded once its workers join, and the scratch adds
+/// its ThreadSteps to machine.thread_steps when it dies. It must not
+/// outlive the graph: its chain memo borrows the graph's pooled lists.
 struct ExpandScratch {
+  ExpandScratch() = default;
+  ExpandScratch(const ExpandScratch &) = delete; // would count twice
+  ExpandScratch &operator=(const ExpandScratch &) = delete;
+  ~ExpandScratch() { addThreadSteps(ThreadSteps); }
+
   std::vector<MachineSuccessor> SuccBuf;
   std::vector<std::uintptr_t> KeyBuf; // a child's key while interned
   ReducerScratch Scratch;             // reduction-layer buffers
+  std::uint64_t Expanded = 0;    ///< states this worker expanded
+  std::uint64_t ThreadSteps = 0; ///< its successor enumerations' steps
 };
 
 namespace detail {
 
+/// Hashers that return a stored hash are noexcept, so the tables keep no
+/// second copy of it in their nodes.
 struct StateKeyHash {
-  std::size_t operator()(const StateKey &K) const { return K.Hash; }
+  std::size_t operator()(const StateKey &K) const noexcept { return K.Hash; }
+};
+
+/// A pool's copy of a value with its finalized hash, computed once: the
+/// shard pick and the set probe both use it.
+template <typename T> struct Pooled {
+  T Value;
+  std::size_t Hash;
+};
+
+/// The copy a pool keeps of a thread state: the state itself.
+inline const ThreadState &pooledCopy(const ThreadState &TS) { return TS; }
+/// The copy a pool keeps of a location: one that owns its list, so the
+/// pool keeps the list alive for the states that borrow it.
+inline Memory::Loc pooledCopy(const Memory::Loc &L) { return L.owning(); }
+
+/// A location's content hash, the list pool's key.
+inline std::size_t listHash(const Memory::Loc &L) {
+  std::size_t Seed = L.var().raw();
+  for (const Message &M : L.messages())
+    hashCombine(Seed, M.hash());
+  return hashFinalize(Seed);
+}
+
+struct LocEq {
+  bool operator()(const Memory::Loc &A, const Memory::Loc &B) const {
+    return A.var() == B.var() &&
+           (A.sharesListWith(B) || A.messages() == B.messages());
+  }
 };
 
 /// A hash-consing pool: one copy of each distinct value per graph,
 /// striped like the graph's entry map. Set nodes never move, so a pooled
-/// copy's address is the value's id. \p HashT must give finalized hashes
-/// (the shard is picked by the high bits).
-template <typename T, typename HashT, typename EqT = std::equal_to<T>>
-class Pool {
+/// copy's address is the value's id. Lookups probe with the caller's
+/// value and hash, so a value is copied (pooledCopy) only when it is new.
+template <typename T, typename EqT = std::equal_to<T>> class Pool {
 public:
   Pool(unsigned Jobs, Statistic &Distinct) : Shards(Jobs), Distinct(Distinct) {}
 
-  /// The pooled copy of \p V, added (and counted) on first use.
-  const T &intern(const T &V) {
-    Shard &S = Shards.forHashOf([&] { return HashT{}(V); });
+  /// The pooled copy of \p V, whose finalized hash is \p Hash, added
+  /// (and counted) on first use.
+  const Pooled<T> &intern(const T &V, std::size_t Hash) {
+    Shard &S = Shards.forHash(Hash);
     std::lock_guard<std::mutex> Lock(S.M);
-    auto [It, New] = S.Set.insert(V);
-    if (New)
+    auto It = S.Set.find(Probe{&V, Hash});
+    if (It == S.Set.end()) {
+      It = S.Set.insert(Pooled<T>{pooledCopy(V), Hash}).first;
       ++Distinct;
+    }
     return *It;
   }
 
 private:
+  struct Probe {
+    const T *Value;
+    std::size_t Hash;
+  };
+  struct ProbeHash {
+    using is_transparent = void;
+    std::size_t operator()(const Pooled<T> &P) const noexcept {
+      return P.Hash;
+    }
+    std::size_t operator()(const Probe &P) const noexcept { return P.Hash; }
+  };
+  struct ProbeEq {
+    using is_transparent = void;
+    bool operator()(const Pooled<T> &A, const Pooled<T> &B) const {
+      return A.Hash == B.Hash && EqT{}(A.Value, B.Value);
+    }
+    bool operator()(const Probe &A, const Pooled<T> &B) const {
+      return A.Hash == B.Hash && EqT{}(*A.Value, B.Value);
+    }
+    bool operator()(const Pooled<T> &A, const Probe &B) const {
+      return (*this)(B, A);
+    }
+  };
   struct Shard {
     std::mutex M;
-    std::unordered_set<T, HashT, EqT> Set;
+    std::unordered_set<Pooled<T>, ProbeHash, ProbeEq> Set;
   };
   Sharded<Shard> Shards;
   Statistic &Distinct;
-};
-
-struct ThreadStateHash {
-  std::size_t operator()(const ThreadState &TS) const { return TS.hash(); }
-};
-
-/// A location's message list with its content hash, the list pool's
-/// element. Holding the Loc keeps the list alive (and, being a second
-/// owner, stops copy-on-write from ever writing it in place).
-struct PooledList {
-  Memory::Loc L;
-  std::size_t Hash;
-
-  static PooledList of(const Memory::Loc &L) {
-    std::size_t Seed = L.var().raw();
-    for (const Message &M : L.messages())
-      hashCombine(Seed, M.hash());
-    return {L, hashFinalize(Seed)};
-  }
-};
-
-struct PooledListHash {
-  std::size_t operator()(const PooledList &P) const { return P.Hash; }
-};
-
-struct PooledListEq {
-  bool operator()(const PooledList &A, const PooledList &B) const {
-    return A.L.var() == B.L.var() &&
-           (A.L.sharesListWith(B.L) || A.L.messages() == B.L.messages());
-  }
 };
 
 /// Append-only storage for one shard's key words. Blocks never move, so
@@ -179,6 +215,11 @@ private:
 /// a scratch each. Unreduced (\p Red null), edge i of an expansion is
 /// successor i of Machine::successors; reduced, the reducer may fuse the
 /// successors into one and projects every state.
+///
+/// The states the graph holds, and the states \p Admit sees, borrow their
+/// message lists from the graph's list pool: copies of them must not
+/// outlive the graph (DESIGN.md §11). Each expansion is counted in the
+/// expanding worker's scratch (ExpandScratch::Expanded, ThreadSteps).
 class StateGraph {
 public:
   StateGraph(const Machine &M, const Reducer *Red, unsigned Jobs);
@@ -194,7 +235,8 @@ public:
   /// \p E's expansion, computed on first call; concurrent callers wait
   /// for the one computing it, and the full state is dropped once it is
   /// done. \p Admit(State) sees the full state first: when it returns
-  /// false the entry is left without edges.
+  /// false the entry is left without edges. The expansion is counted in
+  /// \p Scr.
   template <typename AdmitT>
   const Expansion &expand(StateEntry &E, ExpandScratch &Scr, AdmitT &&Admit) {
     StateSlot &Slot = E.second;
@@ -202,18 +244,13 @@ public:
       std::unique_ptr<MachineState> S = std::move(Slot.Pending);
       if (Admit(static_cast<const MachineState &>(*S)))
         fill(*S, E.first, Slot.X, Scr);
-      Expanded.fetch_add(1, std::memory_order_relaxed);
+      ++Scr.Expanded;
     });
     return Slot.X;
   }
 
   const Expansion &expand(StateEntry &E, ExpandScratch &Scr) {
     return expand(E, Scr, [](const MachineState &) { return true; });
-  }
-
-  /// Number of entries expanded so far.
-  std::uint64_t expanded() const {
-    return Expanded.load(std::memory_order_relaxed);
   }
 
 private:
@@ -239,12 +276,11 @@ private:
   };
   const Machine &M;
   const Reducer *Red;
-  detail::Pool<ThreadState, detail::ThreadStateHash> Threads;
-  detail::Pool<detail::PooledList, detail::PooledListHash,
-               detail::PooledListEq>
-      Lists;
+  // Declared before Shards, so destroyed after them: the states in the
+  // entries borrow the list pool's lists (DESIGN.md §11).
+  detail::Pool<ThreadState> Threads;
+  detail::Pool<Memory::Loc, detail::LocEq> Lists;
   Sharded<Shard> Shards;
-  std::atomic<std::uint64_t> Expanded{0};
 };
 
 } // namespace psopt

@@ -7,6 +7,8 @@
 #include "explore/TraceTrie.h"
 #include "support/Hashing.h"
 
+#include <algorithm>
+
 namespace psopt {
 
 std::size_t TraceTrie::KeyHash::operator()(const Entry &E) const {
@@ -34,24 +36,33 @@ Trace TraceTrie::materialize(Id T) {
 }
 
 void TraceTrie::collect(BehaviorSet &B) const {
-  const std::pair<Mark, std::set<Trace> BehaviorSet::*> Sinks[] = {
-      {Prefix, &BehaviorSet::Prefixes},
-      {Done, &BehaviorSet::Done},
-      {Abort, &BehaviorSet::Abort},
-      {Blocked, &BehaviorSet::Blocked}};
+  // Each marked trace is materialized once; sorted, each set is built by
+  // appending at its end. The trie holds each trace once, so no set sees
+  // a value twice.
+  std::vector<std::pair<Trace, std::uint8_t>> Marked;
   auto Add = [&](const Entry &E) {
-    std::uint8_t M = E.Marks.load(std::memory_order_relaxed);
-    if (!M)
-      return;
-    Trace T = materialize(&E);
-    for (auto [Bit, Set] : Sinks)
-      if (M & Bit)
-        (B.*Set).insert(T);
+    if (std::uint8_t M = E.Marks.load(std::memory_order_relaxed))
+      Marked.emplace_back(materialize(&E), M);
   };
   Add(Root);
   for (const Shard &S : Shards)
     for (const Entry &E : S.Set)
       Add(E);
+  std::sort(Marked.begin(), Marked.end());
+
+  const std::pair<Mark, std::set<Trace> BehaviorSet::*> Sinks[] = {
+      {Done, &BehaviorSet::Done},
+      {Abort, &BehaviorSet::Abort},
+      {Blocked, &BehaviorSet::Blocked},
+      {Prefix, &BehaviorSet::Prefixes}};
+  for (auto [Bit, Set] : Sinks) {
+    // Every visited node marks Prefix, so that sink comes last and takes
+    // the traces themselves.
+    const bool Last = Bit == Prefix;
+    for (auto &[T, M] : Marked)
+      if (M & Bit)
+        (B.*Set).emplace_hint((B.*Set).end(), Last ? std::move(T) : T);
+  }
 }
 
 } // namespace psopt

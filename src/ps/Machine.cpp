@@ -19,6 +19,21 @@ static Statistic NumUnfulfillable(
     "promise candidates and steps rejected before certification: a "
     "promise no reachable store can fulfil");
 
+/// Where the calling thread's thread steps go: a ThreadStepTally's sink,
+/// or null for the shared statistic.
+static thread_local std::uint64_t *ThreadStepSink = nullptr;
+
+ThreadStepTally::ThreadStepTally(std::uint64_t &Sink) : Prev(ThreadStepSink) {
+  ThreadStepSink = &Sink;
+}
+
+ThreadStepTally::~ThreadStepTally() { ThreadStepSink = Prev; }
+
+void addThreadSteps(std::uint64_t N) {
+  if (N)
+    NumMachineSteps += N;
+}
+
 std::size_t MachineState::hash() const {
   std::size_t Seed = Mem.hash();
   for (const ThreadState &TS : Threads)
@@ -96,9 +111,11 @@ void Machine::liftThreadSuccessors(const MachineState &S, Tid T,
                       Succs);
   }
 
-  // Every enumerated step is considered for lifting; one add per call keeps
-  // the workers' shared counter traffic down.
-  if (!Succs.empty())
+  // Every enumerated step is considered for lifting: one add per call,
+  // to the worker's tally when a search installed one.
+  if (std::uint64_t *Sink = ThreadStepSink)
+    *Sink += Succs.size();
+  else if (!Succs.empty())
     NumMachineSteps += Succs.size();
   for (ThreadSuccessor &TSucc : Succs) {
     if (TSucc.Abort) {

@@ -55,6 +55,25 @@ struct MachineState {
   std::string str() const;
 };
 
+/// While alive, sends the machine.thread_steps that successor enumeration
+/// counts on the calling thread to \p Sink instead of the shared
+/// statistic, so a search worker's enumerations write no shared cache
+/// line. The search adds its workers' sinks to the statistic
+/// (addThreadSteps) once they join. Guards nest.
+class ThreadStepTally {
+public:
+  explicit ThreadStepTally(std::uint64_t &Sink);
+  ~ThreadStepTally();
+  ThreadStepTally(const ThreadStepTally &) = delete;
+  ThreadStepTally &operator=(const ThreadStepTally &) = delete;
+
+private:
+  std::uint64_t *Prev;
+};
+
+/// Adds \p N thread steps tallied by ThreadStepTally to machine.thread_steps.
+void addThreadSteps(std::uint64_t N);
+
 /// Label of one machine step (ProgEvt of Fig 8, with abort surfaced).
 struct MachineEvent {
   enum class Kind : std::uint8_t { Tau, Out, Abort };

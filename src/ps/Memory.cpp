@@ -39,7 +39,7 @@ Memory Memory::initial(const std::set<VarId> &Vars) {
 const MessageList &Memory::messages(VarId X) const {
   static const MessageList Empty;
   auto It = locLowerBound(Locs, X);
-  return It == Locs.end() || It->Var != X ? Empty : *It->List;
+  return It == Locs.end() || It->Var != X ? Empty : It->messages();
 }
 
 MessageList &Memory::list(VarId X) {
@@ -49,21 +49,28 @@ MessageList &Memory::list(VarId X) {
   auto It = Locs.begin() + (locLowerBound(Locs, X) - Locs.begin());
   if (It == Locs.end() || It->Var != X)
     It = Locs.insert(It, Loc{X, std::make_shared<MessageList>()});
-  else if (It->List.use_count() != 1)
-    It->List = std::make_shared<MessageList>(*It->List);
-  return *It->List;
+  return ownAlone(*It);
 }
 
-MessageList &Memory::mutableListAt(std::size_t I) {
-  Loc &L = Locs[I];
-  if (L.List.use_count() != 1)
-    L.List = std::make_shared<MessageList>(*L.List);
-  return *L.List;
+MessageList &Memory::ownAlone(Loc &L) {
+  // A borrowed list is never written: its lender (and every other
+  // borrower) still reads it.
+  if (!L.Owner || L.Owner.use_count() != 1)
+    L = Loc{L.Var, std::make_shared<MessageList>(*L.List)};
+  return *L.Owner;
 }
+
+MessageList &Memory::mutableListAt(std::size_t I) { return ownAlone(Locs[I]); }
 
 void Memory::installListAt(std::size_t I, const Loc &L) {
   PSOPT_CHECK(Locs[I].Var == L.Var, "installListAt: variable mismatch");
+  Locs[I] = L;
+}
+
+void Memory::borrowListAt(std::size_t I, const Loc &L) {
+  PSOPT_CHECK(Locs[I].Var == L.Var, "borrowListAt: variable mismatch");
   Locs[I].List = L.List;
+  Locs[I].Owner.reset();
 }
 
 const Message *Memory::findConcrete(VarId X, const Time &To) const {
@@ -225,7 +232,8 @@ Memory Memory::capped(Tid /*ForThread*/) const {
   // Ownership survives the copy, so the certified thread keeps its own
   // promises and reservations; the added gap/cap reservations are unowned
   // and can be neither cancelled nor written into. Every list gains at
-  // least the cap, so each location gets a fresh (unshared) list.
+  // least the cap, so each location gets a fresh list it owns alone, even
+  // where this memory borrows.
   Memory Out;
   Out.Locs.reserve(Locs.size());
   for (const Loc &L : Locs) {

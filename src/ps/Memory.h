@@ -15,11 +15,20 @@
 ///    filled with unowned reservations plus a cap reservation per location.
 ///
 /// Memory is a value type: machine states copy it freely. Copies are cheap
-/// (DESIGN.md §11): each location's message list lives behind a shared_ptr,
-/// so a copy is one small vector of (VarId, refcount-bump) pairs and the
-/// lists themselves are shared until a mutator touches one. Every mutation
-/// funnels through the copy-on-write choke points list()/mutableListAt(),
-/// which clone a shared list before writing.
+/// (DESIGN.md §11): a location either *owns* its message list, holding a
+/// share of it through a shared_ptr, or *borrows* it, holding a bare
+/// pointer to a list someone else keeps alive. A copy is one small vector
+/// of (VarId, list) entries — a refcount bump per owned list, a pointer
+/// copy per borrowed one — and the lists themselves are shared until a
+/// mutator touches one. Every mutation funnels through the copy-on-write
+/// choke points list()/mutableListAt(), which clone any list they do not
+/// own alone before writing.
+///
+/// Borrowing is how the state graph (explore/StateGraph.h) keeps the
+/// states it holds from bumping refcounts that every search worker
+/// shares: it points each state at its list pool's copy without taking a
+/// reference. The lender must outlive every Memory borrowing from it, and
+/// every copy of one (borrowListAt).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -47,25 +56,39 @@ using MessageList = std::vector<Message>;
 /// The global memory.
 class Memory {
 public:
-  /// One location: the variable plus its (possibly shared) message list.
-  /// Read-only from outside Memory; mutation goes through the COW choke
-  /// points so sharing stays invisible to clients.
+  /// One location: the variable plus its (possibly shared) message list,
+  /// owned or borrowed. Read-only from outside Memory; mutation goes
+  /// through the COW choke points so sharing stays invisible to clients.
   class Loc {
   public:
     VarId var() const { return Var; }
     const MessageList &messages() const { return *List; }
 
     /// True when this location shares its message list with \p O — the
-    /// visited-set probe's pointer-identity fast path.
+    /// visited-set probe's pointer-identity fast path. Owned and borrowed
+    /// references to one list share it.
     bool sharesListWith(const Loc &O) const { return List == O.List; }
+
+    /// True when this location holds a share of its list (a borrowed
+    /// list is kept alive by its lender).
+    bool ownsList() const { return Owner != nullptr; }
+
+    /// This location holding a share of its list: a copy when it owns
+    /// one, else a location owning a clone of the borrowed list.
+    Loc owning() const {
+      return Owner ? *this : Loc(Var, std::make_shared<MessageList>(*List));
+    }
 
   private:
     friend class Memory;
     Loc(VarId X, std::shared_ptr<MessageList> L)
-        : Var(X), List(std::move(L)) {}
+        : Var(X), List(L.get()), Owner(std::move(L)) {}
 
     VarId Var;
-    std::shared_ptr<MessageList> List;
+    const MessageList *List;
+    /// The list's owner reference when this location owns it; null when
+    /// it borrows. When set, Owner.get() == List.
+    std::shared_ptr<MessageList> Owner;
   };
 
   Memory() = default;
@@ -148,15 +171,24 @@ public:
   const std::vector<Loc> &storage() const { return Locs; }
 
   /// Copy-on-write mutable access to the message list at storage() index
-  /// \p I: clones the list if it is shared.
+  /// \p I: clones the list unless this memory owns it alone.
   MessageList &mutableListAt(std::size_t I);
 
   /// Makes the location at storage() index \p I share \p L's message list
-  /// (a refcount bump, no copy). \p L must be for the same variable.
+  /// as \p L holds it (a refcount bump when \p L owns it, no copy). \p L
+  /// must be for the same variable.
   void installListAt(std::size_t I, const Loc &L);
+
+  /// Makes the location at storage() index \p I borrow \p L's message
+  /// list: a pointer copy, no reference taken. \p L's list must outlive
+  /// this memory and every copy of it. \p L must be for the same
+  /// variable.
+  void borrowListAt(std::size_t I, const Loc &L);
 
 private:
   MessageList &list(VarId X);
+  /// Makes \p L own its list alone (cloning it otherwise) and returns it.
+  static MessageList &ownAlone(Loc &L);
 
   // Sorted by Var. Within a list, messages are sorted by To (intervals are
   // disjoint, so this equals sorting by From).

@@ -236,5 +236,87 @@ TEST(StateShareTest, HashFastPathAgreesWithEquality) {
   EXPECT_FALSE(A == Succs[0].State);
 }
 
+/// A memory over X and Y whose X list is borrowed from \p Lender, the way
+/// the state graph points its states at its list pool's copies.
+Memory borrowingX(const Memory &Lender, VarId X, VarId Y) {
+  Memory M = Memory::initial({X, Y});
+  EXPECT_EQ(M.storage()[0].var(), X);
+  M.borrowListAt(0, Lender.storage()[0]);
+  return M;
+}
+
+TEST(StateShareTest, BorrowedListCopyDoesNotOwn) {
+  VarId X("ss_bx"), Y("ss_by");
+  Memory Lender = Memory::initial({X});
+  Lender.insert(Message::concrete(X, 1, Time(1), Time(2), View{}));
+  Memory M = borrowingX(Lender, X, Y);
+  EXPECT_TRUE(M.storage()[0].sharesListWith(Lender.storage()[0]));
+  EXPECT_FALSE(M.storage()[0].ownsList());
+  EXPECT_TRUE(M.storage()[1].ownsList());
+
+  Memory Copy = M;
+  EXPECT_TRUE(Copy.storage()[0].sharesListWith(Lender.storage()[0]));
+  EXPECT_FALSE(Copy.storage()[0].ownsList());
+  EXPECT_TRUE(Copy.storage()[1].sharesListWith(M.storage()[1]));
+  EXPECT_TRUE(Copy.storage()[1].ownsList());
+  EXPECT_TRUE(Lender.storage()[0].ownsList());
+}
+
+TEST(StateShareTest, WritingABorrowedListClonesIt) {
+  VarId X("ss_wx"), Y("ss_wy");
+  Memory Lender = Memory::initial({X});
+  Lender.insert(Message::concrete(X, 1, Time(1), Time(2), View{}));
+  const MessageList Before = Lender.messages(X);
+  const std::string LenderStr = Lender.str();
+
+  Memory A = borrowingX(Lender, X, Y);
+  A.insert(Message::concrete(X, 2, Time(3), Time(4), View{}));
+  EXPECT_FALSE(A.storage()[0].sharesListWith(Lender.storage()[0]));
+  EXPECT_TRUE(A.storage()[0].ownsList());
+  EXPECT_EQ(A.messages(X).size(), 3u);
+
+  Memory B = borrowingX(Lender, X, Y);
+  MessageList &L = B.mutableListAt(0);
+  EXPECT_FALSE(B.storage()[0].sharesListWith(Lender.storage()[0]));
+  EXPECT_TRUE(B.storage()[0].ownsList());
+  L.back().Value = 9;
+
+  EXPECT_EQ(Lender.messages(X), Before);
+  EXPECT_EQ(Lender.str(), LenderStr);
+  EXPECT_TRUE(Lender.storage()[0].ownsList());
+}
+
+TEST(StateShareTest, BorrowedAndOwnedListsCompareByContent) {
+  VarId X("ss_ex"), Y("ss_ey");
+  Memory Lender = Memory::initial({X});
+  Lender.insert(Message::concrete(X, 1, Time(1), Time(2), View{}));
+  Memory Borrowing = borrowingX(Lender, X, Y);
+  Memory Owning = Memory::initial({X, Y});
+  Owning.insert(Message::concrete(X, 1, Time(1), Time(2), View{}));
+  ASSERT_TRUE(Owning.storage()[0].ownsList());
+  ASSERT_FALSE(Owning.storage()[0].sharesListWith(Borrowing.storage()[0]));
+
+  EXPECT_TRUE(Borrowing == Owning);
+  EXPECT_TRUE(Owning == Borrowing);
+  EXPECT_EQ(Borrowing.hash(), Owning.hash());
+
+  Owning.insert(Message::concrete(Y, 2, Time(1), Time(2), View{}));
+  EXPECT_FALSE(Borrowing == Owning);
+}
+
+TEST(StateShareTest, CappedMemoryOwnsEveryList) {
+  VarId X("ss_cx"), Y("ss_cy");
+  Memory Lender = Memory::initial({X});
+  Lender.insert(Message::concrete(X, 1, Time(2), Time(3), View{}));
+  Memory M = borrowingX(Lender, X, Y);
+  Memory Capped = M.capped(0);
+  ASSERT_EQ(Capped.storage().size(), 2u);
+  for (const Memory::Loc &L : Capped.storage()) {
+    EXPECT_TRUE(L.ownsList());
+    EXPECT_FALSE(L.sharesListWith(Lender.storage()[0]));
+    EXPECT_FALSE(L.sharesListWith(M.storage()[1]));
+  }
+}
+
 } // namespace
 } // namespace psopt

@@ -336,6 +336,49 @@ TEST(CliTest, StatsFormatJson) {
       << R.Output;
 }
 
+/// The number after the first \p Key at or past \p From in \p Out, or -1.
+long long numberAfter(const std::string &Out, const std::string &Key,
+                      std::size_t From = 0) {
+  std::size_t At = Out.find(Key, From);
+  return At == std::string::npos
+             ? -1
+             : std::strtoll(Out.c_str() + At + Key.size(), nullptr, 10);
+}
+
+TEST(CliTest, HeartbeatAndCountersMatchOneWorker) {
+  // Search workers publish explore.nodes in batches while they run and
+  // the rest when they join, and tally their thread steps until then: the
+  // final heartbeat must see every visited node, and the counters must
+  // equal a one-worker run's.
+  std::string P = writeTemp("cli_heartbeat.psopt", R"(
+var x atomic; var y atomic; var z atomic;
+func a { block 0: x.rlx := 1; y.rlx := 2; r := z.rlx; print(r); ret; }
+func b { block 0: y.rlx := 3; z.rlx := 4; r := x.rlx; print(r); ret; }
+func c { block 0: z.rlx := 5; x.rlx := 6; r := y.rlx; print(r); ret; }
+thread a; thread b; thread c;
+)");
+  CliResult Many = runCli("explore --no-promises --jobs=4 --progress=1 "
+                          "--stats-format=json " + P);
+  ASSERT_EQ(Many.ExitCode, 0) << Many.Output;
+  CliResult One =
+      runCli("explore --no-promises --jobs=1 --stats-format=json " + P);
+  ASSERT_EQ(One.ExitCode, 0) << One.Output;
+
+  long long Visited = numberAfter(Many.Output, "\nnodes=");
+  EXPECT_GT(Visited, 10000) << Many.Output; // many flush batches per worker
+  std::size_t Final = Many.Output.find("[psopt] final");
+  ASSERT_NE(Final, std::string::npos) << Many.Output;
+  EXPECT_EQ(numberAfter(Many.Output, " nodes=", Final), Visited);
+
+  for (const char *Key : {"\"explore.nodes\": ", "\"machine.thread_steps\": ",
+                          "\"explore.transitions\": "}) {
+    SCOPED_TRACE(Key);
+    EXPECT_GT(numberAfter(One.Output, Key), 0) << One.Output;
+    EXPECT_EQ(numberAfter(Many.Output, Key), numberAfter(One.Output, Key));
+  }
+  EXPECT_EQ(numberAfter(Many.Output, "\"explore.nodes\": "), Visited);
+}
+
 TEST(CliTest, StatsJsonCountsUnfulfillablePromises) {
   // The producer's promise domain holds data = 0, which none of its stores
   // writes: the candidate is dropped before certification, and counted.
